@@ -35,6 +35,7 @@ import (
 	"cloudfog/internal/checkpoint"
 	"cloudfog/internal/game"
 	"cloudfog/internal/protocol"
+	"cloudfog/internal/render"
 	"cloudfog/internal/reputation"
 	"cloudfog/internal/rng"
 	"cloudfog/internal/selection"
@@ -645,8 +646,11 @@ func (s *CloudServer) tickOnce() {
 		// Fold membership changes (avatar spawns, departures) into the
 		// tick's delta stream so replicas and the standby's log both see
 		// them; Step's own deltas follow and overwrite where they overlap.
+		// The fan-out reads deltas after the unlock, so the folded array
+		// goes with it: a join appending to a truncated sessionDeltas
+		// would overwrite entries while they are being encoded.
 		deltas = append(s.sessionDeltas, deltas...)
-		s.sessionDeltas = s.sessionDeltas[:0]
+		s.sessionDeltas = nil
 	}
 	s.ticks++
 	tick := s.world.Tick()
@@ -1316,11 +1320,11 @@ func (s *CloudServer) submitAction(a virtualworld.Action) bool {
 	return true
 }
 
-// currentSnapshot implements snapshotSource over the authoritative world.
-func (s *CloudServer) currentSnapshot() virtualworld.Snapshot {
+// appendView implements viewSource over the authoritative world.
+func (s *CloudServer) appendView(dst []virtualworld.Entity, player int) (uint64, virtualworld.Viewport, []virtualworld.Entity) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.world.Snapshot()
+	return s.world.AppendView(dst, player, render.ViewHalfWidth, render.ViewHalfHeight)
 }
 
 // cloudFallbackCounters routes fallback-session egress into the cloud's

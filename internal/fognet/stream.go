@@ -12,11 +12,50 @@ import (
 	"cloudfog/internal/virtualworld"
 )
 
-// snapshotSource yields the world state a video session renders from: a
-// fog node serves its replica, the cloud serves the authoritative world
-// (the fallback path for players without a nearby supernode).
-type snapshotSource interface {
-	currentSnapshot() virtualworld.Snapshot
+// viewSource yields what one frame of a video session draws: the world
+// tick, the player's viewport, and the entities inside it sorted by ID,
+// appended to the session's scratch slice. A fog node serves its replica,
+// the cloud serves the authoritative world (the fallback path for players
+// without a nearby supernode). The query costs O(entities in view), so
+// the source's lock is held only that long.
+type viewSource interface {
+	appendView(dst []virtualworld.Entity, player int) (tick uint64, v virtualworld.Viewport, vis []virtualworld.Entity)
+}
+
+// framePipeline is one video session's per-frame work and its reused
+// state: the view query appends into one entity slice, the renderer
+// rasterizes into one framebuffer, and the encoder compresses into one
+// EncodedFrame — nothing allocates once the scratch has grown.
+type framePipeline struct {
+	renderer *render.Renderer
+	encoder  *videocodec.Encoder
+	frame    *render.Frame
+	vis      []virtualworld.Entity
+	ef       videocodec.EncodedFrame
+}
+
+// newFramePipeline builds the pipeline for a quality level.
+func newFramePipeline(level game.QualityLevel) *framePipeline {
+	p := &framePipeline{frame: &render.Frame{}}
+	p.setLevel(level)
+	return p
+}
+
+// setLevel switches resolution and bitrate; the next frame is a keyframe
+// of the new size.
+func (p *framePipeline) setLevel(level game.QualityLevel) {
+	p.renderer = render.NewRenderer(render.ResolutionForLevel(int(level)))
+	p.encoder = videocodec.NewEncoder(game.MustQuality(level).BitrateKbps)
+}
+
+// next renders and encodes player's current view from source into p.ef
+// and returns the world tick it depicts.
+func (p *framePipeline) next(source viewSource, player int) uint64 {
+	tick, v, vis := source.appendView(p.vis[:0], player)
+	p.vis = vis
+	p.renderer.RenderVisible(tick, v, vis, p.frame)
+	p.encoder.EncodeInto(p.frame, &p.ef)
+	return tick
 }
 
 // streamCounters receives the session's egress accounting.
@@ -46,11 +85,10 @@ type actionSink interface {
 // reader goroutine.
 //
 // The 30 fps loop is the fog tier's hot path, so it is allocation-free in
-// steady state: the renderer rasterizes into one reused framebuffer, the
-// encoder compresses into reused scratch (EncodeInto), and the encoded
-// frame plus its header — the 5-byte stream header or the 33-byte
-// datagram header — are appended into one pooled buffer flushed with a
-// single Write. The pooled buffer is returned only after the session
+// steady state: framePipeline renders and encodes into reused scratch,
+// and the encoded frame plus its header — the 5-byte stream header or the
+// 33-byte datagram header — are appended into one pooled buffer flushed
+// with a single Write. The pooled buffer is returned only after the session
 // ends — per-frame it is simply truncated and refilled, never handed to
 // another goroutine.
 func runVideoSession(
@@ -59,7 +97,7 @@ func runVideoSession(
 	level game.QualityLevel,
 	frameInterval time.Duration,
 	writeTimeout time.Duration,
-	source snapshotSource,
+	source viewSource,
 	counters streamCounters,
 	actions actionSink,
 	offer dgramOffer,
@@ -117,10 +155,7 @@ func runVideoSession(
 		}
 	}()
 
-	renderer := render.NewRenderer(render.ResolutionForLevel(int(level)))
-	encoder := videocodec.NewEncoder(game.MustQuality(level).BitrateKbps)
-	frame := render.NewFrame(renderer.Resolution())
-	var ef videocodec.EncodedFrame
+	pipe := newFramePipeline(level)
 	out := protocol.GetBuffer()
 	defer protocol.PutBuffer(out)
 	// sess is the live datagram upgrade, nil until a request is granted;
@@ -144,8 +179,7 @@ func runVideoSession(
 		case newLevel := <-rateCh:
 			if newLevel != level {
 				level = newLevel
-				renderer = render.NewRenderer(render.ResolutionForLevel(int(level)))
-				encoder = videocodec.NewEncoder(game.MustQuality(level).BitrateKbps)
+				pipe.setLevel(level)
 			}
 		case <-dgramCh:
 			//lint:ignore epochstamp refusal default: overwritten by the stamped offer when the datagram path is up
@@ -165,7 +199,6 @@ func runVideoSession(
 				return
 			}
 		case <-ticker.C:
-			snap := source.currentSnapshot()
 			if sess != nil && !dgramLive {
 				if _, ok := sess.remote(); ok {
 					// The hello landed: this frame is the first to ride
@@ -173,23 +206,22 @@ func runVideoSession(
 					// none of the TCP frames in flight during the
 					// handshake — decodes from the very first datagram.
 					dgramLive = true
-					encoder.ForceKeyframe()
+					pipe.encoder.ForceKeyframe()
 				}
 			}
-			renderer.RenderInto(snap, render.ViewportFor(snap, int(playerID)), frame)
-			encoder.EncodeInto(frame, &ef)
+			tick := pipe.next(source, int(playerID))
 			if sess != nil {
 				var sent bool
-				out.B, sent = sess.sendFrame(out.B, &ef, snap.Tick)
+				out.B, sent = sess.sendFrame(out.B, &pipe.ef, tick)
 				if sent {
-					counters.addFrame(ef.SizeBits())
+					counters.addFrame(pipe.ef.SizeBits())
 					continue
 				}
 				// No hello yet, oversized frame, or a socket error:
 				// this frame rides the reliable stream instead.
 			}
 			var err error
-			out.B, err = protocol.AppendMessage(out.B[:0], protocol.MsgVideoFrame, &ef)
+			out.B, err = protocol.AppendMessage(out.B[:0], protocol.MsgVideoFrame, &pipe.ef)
 			if err != nil {
 				return
 			}
@@ -199,7 +231,7 @@ func runVideoSession(
 			if _, err := conn.Write(out.B); err != nil {
 				return
 			}
-			counters.addFrame(ef.SizeBits())
+			counters.addFrame(pipe.ef.SizeBits())
 		}
 	}
 }

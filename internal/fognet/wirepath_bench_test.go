@@ -6,8 +6,6 @@ import (
 
 	"cloudfog/internal/game"
 	"cloudfog/internal/protocol"
-	"cloudfog/internal/render"
-	"cloudfog/internal/videocodec"
 	"cloudfog/internal/virtualworld"
 )
 
@@ -101,32 +99,45 @@ func BenchmarkTickFanoutLegacy(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameStream measures one iteration of the fog tier's 30 fps
-// streaming loop as runVideoSession runs it: rasterize the snapshot into a
-// reused framebuffer, compress into reused encoder scratch, frame the
-// result into a pooled buffer, flush with a single write. Steady state:
-// 0 allocs/op.
-func BenchmarkFrameStream(b *testing.B) {
-	w := virtualworld.New(400, 400)
-	w.SpawnAvatar(1, 100, 100)
-	for i := 0; i < 5; i++ {
-		w.Step([]virtualworld.Action{{Player: 1, Kind: virtualworld.ActMove, TargetX: 300, TargetY: 300}})
+// npcWorld builds a default-size world of npcs NPCs placed as
+// NewCloudServer places CloudConfig.NPCs: the first 16 on a 4×4 lattice,
+// the rest piled on the top edge.
+func npcWorld(npcs int) *virtualworld.World {
+	w := virtualworld.New(0, 0)
+	width, height := w.Size()
+	for i := 0; i < npcs; i++ {
+		w.SpawnNPC(width*float64(i%4+1)/5, height*float64(i/4+1)/5)
 	}
-	snap := w.Snapshot()
-	level := 3
-	renderer := render.NewRenderer(render.ResolutionForLevel(level))
-	encoder := videocodec.NewEncoder(game.MustQuality(game.QualityLevel(level)).BitrateKbps)
-	frame := render.NewFrame(renderer.Resolution())
-	var ef videocodec.EncodedFrame
+	return w
+}
+
+// frameStreamReplica builds the replica a fog renders from: npcWorld plus
+// player 1's avatar at (x, y), seeded into a replica as a joining fog is.
+func frameStreamReplica(npcs int, x, y float64) *virtualworld.Replica {
+	w := npcWorld(npcs)
+	w.SpawnAvatar(1, x, y)
+	rep := virtualworld.NewReplica(0, 0)
+	rep.Seed(w.Snapshot())
+	return rep
+}
+
+// benchFrameStream runs the fog tier's 30 fps streaming loop for player 1
+// as runVideoSession runs it: every iteration queries the replica for the
+// player's view under the node mutex, rasterizes it into a reused
+// framebuffer, compresses into reused encoder scratch, frames the result
+// into a pooled buffer, and flushes with a single write. Steady state:
+// 0 allocs/op.
+func benchFrameStream(b *testing.B, rep *virtualworld.Replica, level game.QualityLevel) {
+	fog := &FogNode{replica: rep}
+	pipe := newFramePipeline(level)
 	out := protocol.GetBuffer()
 	defer protocol.PutBuffer(out)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		renderer.RenderInto(snap, render.ViewportFor(snap, 1), frame)
-		encoder.EncodeInto(frame, &ef)
+		pipe.next(fog, 1)
 		var err error
-		out.B, err = protocol.AppendMessage(out.B[:0], protocol.MsgVideoFrame, &ef)
+		out.B, err = protocol.AppendMessage(out.B[:0], protocol.MsgVideoFrame, &pipe.ef)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,6 +145,26 @@ func BenchmarkFrameStream(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkFrameStream is the streaming loop at level 3 over a small
+// world: an avatar that walked a few steps and nothing else.
+func BenchmarkFrameStream(b *testing.B) {
+	w := virtualworld.New(400, 400)
+	w.SpawnAvatar(1, 100, 100)
+	for i := 0; i < 5; i++ {
+		w.Step([]virtualworld.Action{{Player: 1, Kind: virtualworld.ActMove, TargetX: 300, TargetY: 300}})
+	}
+	rep := virtualworld.NewReplica(0, 0)
+	rep.Seed(w.Snapshot())
+	benchFrameStream(b, rep, 3)
+}
+
+// BenchmarkFrameStreamBigWorld is the streaming loop at level 1 over a
+// 20k-NPC replica with a few NPCs in view: the per-frame cost must track
+// the view, not the world.
+func BenchmarkFrameStreamBigWorld(b *testing.B) {
+	benchFrameStream(b, frameStreamReplica(20_000, 300, 220), 1)
 }
 
 // TestTickFanoutSteadyStateAllocs pins the fan-out benchmark's property as

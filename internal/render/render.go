@@ -1,5 +1,5 @@
 // Package render implements the supernode-side game-video renderer: it
-// turns a virtual-world snapshot into per-player video frames based on the
+// turns a player's view of the virtual world into video frames based on the
 // player's "viewing position and angle" (§3.1). The paper offloads exactly
 // this work from thin clients onto supernodes — "rendering game video is
 // relatively less hardware demanding than computation and communication in
@@ -9,7 +9,7 @@
 // framebuffer with a background gradient and entities drawn as filled
 // discs whose intensity encodes kind and health. What matters for the
 // CloudFog pipeline is its contract, not its fidelity: frames are
-// deterministic in the snapshot and viewport, differ where the world
+// deterministic in the visible entities and viewport, differ where the world
 // changed, and feed the video encoder (internal/videocodec) that produces
 // the Table 2 bitrate ladder.
 package render
@@ -108,10 +108,10 @@ func (f *Frame) String() string {
 	return fmt.Sprintf("frame{%dx%d tick=%d}", f.Width, f.Height, f.Tick)
 }
 
-// Renderer rasterizes world snapshots for one player's viewport.
+// Renderer rasterizes one player's view of the world.
 type Renderer struct {
 	res Resolution
-	vis []virtualworld.Entity // per-frame culling scratch
+	vis []virtualworld.Entity // RenderInto's culling scratch
 }
 
 // NewRenderer creates a renderer at the given resolution.
@@ -157,11 +157,23 @@ func (r *Renderer) Render(s virtualworld.Snapshot, v virtualworld.Viewport) *Fra
 	return f
 }
 
-// RenderInto rasterizes into an existing frame, reusing its pixel buffer:
-// zero allocations per frame in steady state. The frame is resized (and
-// its buffer regrown) only when the renderer's resolution differs — the
-// 30 fps fog streaming loop renders into the same frame every tick.
+// RenderInto culls the snapshot to the viewport and rasterizes the result
+// into an existing frame: RenderVisible over AppendVisibleEntities. Zero
+// allocations per frame in steady state.
 func (r *Renderer) RenderInto(s virtualworld.Snapshot, v virtualworld.Viewport, f *Frame) {
+	r.vis = virtualworld.AppendVisibleEntities(r.vis[:0], s, v)
+	r.RenderVisible(s.Tick, v, r.vis, f)
+}
+
+// RenderVisible rasterizes the viewport's visible entities (sorted by ID,
+// as World.AppendView and Replica.AppendView return them) into an existing
+// frame of world tick tick, reusing its pixel buffer: zero allocations per
+// frame in steady state. The frame is resized (and its buffer regrown)
+// only when the renderer's resolution differs — the 30 fps fog streaming
+// loop renders into the same frame every tick.
+//
+//cfg:allocfree
+func (r *Renderer) RenderVisible(tick uint64, v virtualworld.Viewport, vis []virtualworld.Entity, f *Frame) {
 	if f.Width != r.res.Width || f.Height != r.res.Height || len(f.Pix) != r.res.Width*r.res.Height {
 		f.Width, f.Height = r.res.Width, r.res.Height
 		if cap(f.Pix) < f.Width*f.Height {
@@ -169,7 +181,7 @@ func (r *Renderer) RenderInto(s virtualworld.Snapshot, v virtualworld.Viewport, 
 		}
 		f.Pix = f.Pix[:f.Width*f.Height]
 	}
-	f.Tick = s.Tick
+	f.Tick = tick
 	// Background: a screen-space gradient in coarse bands. Keeping it
 	// static in screen coordinates mirrors what motion-compensated codecs
 	// achieve for panning cameras: successive frames differ mostly where
@@ -182,10 +194,8 @@ func (r *Renderer) RenderInto(s virtualworld.Snapshot, v virtualworld.Viewport, 
 			row[x] = band
 		}
 	}
-	// Entities, back-to-front by ID for determinism. Culling reuses the
-	// renderer's scratch slice so the per-frame loop stays allocation-free.
-	r.vis = virtualworld.AppendVisibleEntities(r.vis[:0], s, v)
-	for _, e := range r.vis {
+	// Entities, back-to-front by ID for determinism.
+	for _, e := range vis {
 		px := int((e.X - (v.CenterX - v.HalfWidth)) / (2 * v.HalfWidth) * float64(f.Width))
 		py := int((e.Y - (v.CenterY - v.HalfHeight)) / (2 * v.HalfHeight) * float64(f.Height))
 		luma := baseLuma(e)

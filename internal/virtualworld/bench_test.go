@@ -62,3 +62,28 @@ func BenchmarkPartitionKD(b *testing.B) {
 		PartitionKD(s, 16)
 	}
 }
+
+// bigWorldSnapshot is a 20k-NPC world laid out as the cloud's NPC seeding
+// lays it out (a 4×4 lattice, the rest piled on the top edge) plus two
+// avatars: the welcome snapshot a joining fog seeds its replica from.
+func bigWorldSnapshot() Snapshot {
+	w := New(0, 0)
+	for i := 0; i < 20_000; i++ {
+		w.SpawnNPC(w.width*float64(i%4+1)/5, w.height*float64(i/4+1)/5)
+	}
+	w.SpawnAvatar(1, 300, 220)
+	w.SpawnAvatar(2, 120, 340)
+	return w.Snapshot()
+}
+
+// BenchmarkReplicaSeed measures seeding a fog replica (entity map, owner
+// index and grid) from a 20k-entity welcome snapshot.
+func BenchmarkReplicaSeed(b *testing.B) {
+	s := bigWorldSnapshot()
+	rep := NewReplica(0, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep.Seed(s)
+	}
+}

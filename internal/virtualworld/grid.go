@@ -75,19 +75,27 @@ func (g GridGeom) NumCells() int { return g.Cols * g.Rows }
 // clamped to the world, and the max edge folds into the last column/row,
 // matching Region.Contains' max-exclusive-except-world-edge convention.
 func (g GridGeom) CellOf(x, y float64) uint32 {
-	col := int(x / g.CellSize)
-	if col < 0 {
-		col = 0
-	} else if col >= g.Cols {
-		col = g.Cols - 1
+	return uint32(g.row(y)*g.Cols + g.col(x))
+}
+
+// col maps an x coordinate to its (clamped) column index.
+func (g GridGeom) col(x float64) int {
+	return clampIndex(int(x/g.CellSize), g.Cols)
+}
+
+// row maps a y coordinate to its (clamped) row index.
+func (g GridGeom) row(y float64) int {
+	return clampIndex(int(y/g.CellSize), g.Rows)
+}
+
+func clampIndex(i, n int) int {
+	if i < 0 {
+		return 0
 	}
-	row := int(y / g.CellSize)
-	if row < 0 {
-		row = 0
-	} else if row >= g.Rows {
-		row = g.Rows - 1
+	if i >= n {
+		return n - 1
 	}
-	return uint32(row*g.Cols + col)
+	return i
 }
 
 // CellRect returns the rectangle a cell covers. The max edge is exclusive
@@ -170,6 +178,15 @@ func (g *Grid) CellLen(c uint32) int {
 		return 0
 	}
 	return len(g.cells[c])
+}
+
+// cell returns the cell's entity IDs (ascending) without copying; the
+// slice is only valid until the grid's next mutation.
+func (g *Grid) cell(c uint32) []EntityID {
+	if int(c) >= len(g.cells) {
+		return nil
+	}
+	return g.cells[c]
 }
 
 // AppendCell appends the cell's entity IDs (ascending) to dst and returns

@@ -207,18 +207,27 @@ func TestReplicaAvatarPos(t *testing.T) {
 }
 
 func TestReplicaApplyCellKeyframe(t *testing.T) {
-	geo := Geometry(DefaultWidth, DefaultHeight, DefaultCellSize)
 	r := NewReplica(0, 0)
-	// Stale view of cell (10,10): entities 1 and 2 in-cell, 3 elsewhere.
+	geo := r.Grid().Geom()
+	// Stale view of cell (0,0): entities 1 and 2 in-cell; 3, 5, 6 and 7
+	// elsewhere — 5 and 6 just across the cell's max edges, 7 diagonal.
+	others := []Entity{
+		{ID: 3, Kind: KindNPC, Owner: -1, X: 500, Y: 500, Version: 1},
+		{ID: 5, Kind: KindNPC, Owner: -1, X: DefaultCellSize, Y: 10, Version: 1},
+		{ID: 6, Kind: KindItem, Owner: -1, X: 10, Y: DefaultCellSize, Version: 4},
+		{ID: 7, Kind: KindAvatar, Owner: 2, X: DefaultCellSize, Y: DefaultCellSize, Version: 2},
+	}
 	r.Apply(1, []Delta{
 		{ID: 1, Entity: Entity{ID: 1, Kind: KindNPC, Owner: -1, X: 10, Y: 10, Version: 5}},
 		{ID: 2, Entity: Entity{ID: 2, Kind: KindItem, Owner: -1, X: 20, Y: 20, Version: 1}},
-		{ID: 3, Entity: Entity{ID: 3, Kind: KindNPC, Owner: -1, X: 500, Y: 500, Version: 1}},
 	})
+	for _, e := range others {
+		r.Apply(1, []Delta{{ID: e.ID, Entity: e}})
+	}
 	// Keyframe for the cell: entity 1 moved (newer version), entity 2 is
-	// gone, entity 4 appeared. Entity 3 is out-of-cell and must survive.
+	// gone, entity 4 appeared. Out-of-cell entities must survive untouched.
 	c := geo.CellOf(10, 10)
-	r.ApplyCellKeyframe(9, geo, c, []Delta{
+	r.ApplyCellKeyframe(9, c, []Delta{
 		{ID: 1, Entity: Entity{ID: 1, Kind: KindNPC, Owner: -1, X: 12, Y: 10, Version: 6}},
 		{ID: 4, Entity: Entity{ID: 4, Kind: KindItem, Owner: -1, X: 30, Y: 30, Version: 2}},
 	})
@@ -234,12 +243,22 @@ func TestReplicaApplyCellKeyframe(t *testing.T) {
 	if _, ok := r.Entity(4); !ok {
 		t.Fatal("entity 4 not added by keyframe")
 	}
-	if _, ok := r.Entity(3); !ok {
-		t.Fatal("out-of-cell entity 3 pruned")
+	for _, want := range others {
+		if got, ok := r.Entity(want.ID); !ok || got != want {
+			t.Fatalf("out-of-cell entity %d = %+v (present %v), want untouched %+v", want.ID, got, ok, want)
+		}
+	}
+	// An empty keyframe for another cell empties exactly that cell.
+	r.ApplyCellKeyframe(9, geo.CellOf(DefaultCellSize, 10), nil)
+	if _, ok := r.Entity(5); ok {
+		t.Fatal("entity 5 not pruned by its cell's empty keyframe")
+	}
+	if r.NumEntities() != 5 || r.Grid().Len() != 5 {
+		t.Fatalf("replica has %d entities, grid %d; want 5 each", r.NumEntities(), r.Grid().Len())
 	}
 	// A keyframe never resurrects staleness: an older version in the
 	// keyframe loses to a newer replica copy.
-	r.ApplyCellKeyframe(10, geo, c, []Delta{
+	r.ApplyCellKeyframe(10, c, []Delta{
 		{ID: 1, Entity: Entity{ID: 1, Kind: KindNPC, Owner: -1, X: 0, Y: 0, Version: 3}},
 		{ID: 4, Entity: Entity{ID: 4, Kind: KindItem, Owner: -1, X: 30, Y: 30, Version: 2}},
 	})

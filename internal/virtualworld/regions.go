@@ -149,8 +149,9 @@ func VisibleEntities(s Snapshot, v Viewport) []Entity {
 
 // AppendVisibleEntities appends the snapshot's entities inside the
 // viewport to dst and returns the extended slice; with enough capacity it
-// does not allocate. The renderer's per-frame culling uses this with a
-// reused scratch slice.
+// does not allocate. It is the linear reference for the grid-indexed
+// World.AppendView and Replica.AppendView, which the per-frame render
+// path uses and which return the same entities in the same order.
 func AppendVisibleEntities(dst []Entity, s Snapshot, v Viewport) []Entity {
 	for _, e := range s.Entities {
 		if v.Contains(e.X, e.Y) {

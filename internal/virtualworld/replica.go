@@ -5,14 +5,19 @@ import "sort"
 // Replica is the supernode-side copy of the virtual world. The cloud
 // computes the authoritative state and streams deltas; the replica applies
 // them ("the supernodes update the virtual world" — §3.1), discarding
-// stale updates by entity version, and serves snapshots to the renderer.
+// stale updates by entity version, and serves per-player views to the
+// renderer.
 type Replica struct {
 	width, height float64
 	entities      map[EntityID]Entity
 	byOwner       map[int]EntityID
-	tick          uint64
-	applied       int
-	stale         int
+	// grid indexes entity positions exactly as World's grid does, kept up
+	// to date by setEntity/removeEntity: it answers the per-frame view
+	// query and finds a keyframed cell's entities without a world scan.
+	grid    *Grid
+	tick    uint64
+	applied int
+	stale   int
 }
 
 // NewReplica creates an empty replica for a world of the given dimensions.
@@ -27,6 +32,7 @@ func NewReplica(width, height float64) *Replica {
 		width: width, height: height,
 		entities: make(map[EntityID]Entity),
 		byOwner:  make(map[int]EntityID),
+		grid:     NewGrid(Geometry(width, height, DefaultCellSize)),
 	}
 }
 
@@ -52,20 +58,26 @@ func (r *Replica) Apply(tick uint64, deltas []Delta) {
 	}
 }
 
-// setEntity stores an entity copy, maintaining the owner index.
+// setEntity stores an entity copy, maintaining the owner index and grid.
 func (r *Replica) setEntity(e Entity) {
+	if old, ok := r.entities[e.ID]; ok {
+		r.grid.Move(e.ID, old.X, old.Y, e.X, e.Y)
+	} else {
+		r.grid.Insert(e.ID, e.X, e.Y)
+	}
 	r.entities[e.ID] = e
 	if e.Kind == KindAvatar && e.Owner >= 0 {
 		r.byOwner[e.Owner] = e.ID
 	}
 }
 
-// removeEntity deletes an entity, maintaining the owner index.
+// removeEntity deletes an entity, maintaining the owner index and grid.
 func (r *Replica) removeEntity(id EntityID) {
 	e, ok := r.entities[id]
 	if !ok {
 		return
 	}
+	r.grid.Remove(id, e.X, e.Y)
 	delete(r.entities, id)
 	if e.Kind == KindAvatar && e.Owner >= 0 && r.byOwner[e.Owner] == id {
 		delete(r.byOwner, e.Owner)
@@ -92,21 +104,29 @@ func (r *Replica) AvatarPos(player int) (x, y float64, ok bool) {
 // replica entity inside the cell that the keyframe does not mention was
 // removed while the fog was unsubscribed and is deleted here — the rule
 // that makes partial world views converge without per-entity tombstones.
-// The deltas then apply with the usual version staleness check.
-func (r *Replica) ApplyCellKeyframe(tick uint64, geo GridGeom, c uint32, deltas []Delta) {
+// The deltas then apply with the usual version staleness check. Cell IDs
+// are in the replica's own grid geometry (DefaultCellSize over its world
+// dimensions), the geometry the fog reports its interest in.
+func (r *Replica) ApplyCellKeyframe(tick uint64, c uint32, deltas []Delta) {
 	if tick > r.tick {
 		r.tick = tick
 	}
-	for id, e := range r.entities {
-		if geo.CellOf(e.X, e.Y) != c {
-			continue
+	// Both lists ascend by ID: one merge pass finds the in-cell entities
+	// the keyframe does not mention. Removal shrinks the cell list in
+	// place, so the walk re-reads it rather than ranging over a copy.
+	cell, j := r.grid.cell(c), 0
+	for i := 0; i < len(cell); {
+		id := cell[i]
+		for j < len(deltas) && deltas[j].ID < id {
+			j++
 		}
-		i := sort.Search(len(deltas), func(i int) bool { return deltas[i].ID >= id })
-		if i < len(deltas) && deltas[i].ID == id {
+		if j < len(deltas) && deltas[j].ID == id {
+			i++
 			continue
 		}
 		r.removeEntity(id)
 		r.applied++
+		cell = r.grid.cell(c)
 	}
 	for _, d := range deltas {
 		if d.Removed {
@@ -130,10 +150,15 @@ func (r *Replica) Seed(s Snapshot) {
 	r.width, r.height = s.Width, s.Height
 	r.entities = make(map[EntityID]Entity, len(s.Entities))
 	r.byOwner = make(map[int]EntityID)
+	r.grid = NewGrid(Geometry(s.Width, s.Height, DefaultCellSize))
 	for _, e := range s.Entities {
 		r.setEntity(e)
 	}
 }
+
+// Grid returns the replica's spatial index. Callers must treat it as
+// read-only; it is maintained by the replica's own mutation paths.
+func (r *Replica) Grid() *Grid { return r.grid }
 
 // Size returns the replica's world dimensions.
 func (r *Replica) Size() (width, height float64) { return r.width, r.height }

@@ -14,8 +14,8 @@
 //
 // This is the state the cloud computes and the source of the compact
 // update stream (Λ) pushed to supernodes; package updates encodes the
-// deltas, and internal/render turns replica snapshots into per-player
-// frames on the fog side.
+// deltas, and internal/render turns each player's replica view (the
+// grid-indexed AppendView query) into frames on the fog side.
 package virtualworld
 
 import (
