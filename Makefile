@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check lint lint-vet bench bench-json bench-transport-json bench-tick-json bench-sim-json chaos
+.PHONY: all build vet test race check lint lint-vet bench bench-json $(BENCH_JSON) chaos
 
 all: check
 
@@ -54,64 +54,62 @@ check: build vet lint test race
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/...
 
-# Wire-path benchmark regression file: runs the hot-path benchmarks (the
-# zero-allocation encoders/readers, the tick fan-out and frame-stream
-# loops, and the §3.2 selection paths they feed) with -benchmem at a fixed
-# iteration count, and converts the output to BENCH_wirepath.json via
-# cmd/benchjson. The file is committed so reviewers can diff allocs/op
-# across PRs, and CI uploads it as an artifact. Absolute ns/op varies by
-# machine; allocs/op and B/op are the stable regression signal.
-BENCH_WIREPATH = BenchmarkUpdateBatch|BenchmarkWriteMessage|BenchmarkAppendFrame|BenchmarkReadMessage|BenchmarkFrameReader|BenchmarkTickFanout|BenchmarkFrameStream|BenchmarkEncode|BenchmarkDecode|BenchmarkRender|BenchmarkSelectorSelect|BenchmarkCandidateLadder|BenchmarkRank|BenchmarkCheckpoint
-
-bench-json:
-	$(GO) test -bench='$(BENCH_WIREPATH)' -benchmem -benchtime=2000x -run='^$$' \
-		./internal/protocol ./internal/fognet ./internal/videocodec \
-		./internal/render ./internal/fog ./internal/selection \
-		./internal/checkpoint \
-		| $(GO) run ./cmd/benchjson -o BENCH_wirepath.json
-
-# Datagram-transport benchmark regression file, same scheme as bench-json:
-# the UDP video hot paths (header append/parse, tracker classification,
-# per-frame datagram send and receive) at a fixed iteration count,
-# converted to BENCH_transport.json. The acceptance bar is the one the TCP
-# wire path set in PR 3: 0 allocs/op in steady state.
-BENCH_TRANSPORT = BenchmarkDatagramHeader|BenchmarkTrackerTrack|BenchmarkDatagramSendFrame|BenchmarkDatagramRecvFrame
-
-bench-transport-json:
-	$(GO) test -bench='$(BENCH_TRANSPORT)' -benchmem -benchtime=2000x -run='^$$' \
-		./internal/transport ./internal/fognet \
-		| $(GO) run ./cmd/benchjson -o BENCH_transport.json
-
-# Interest-management (AoI) tick fan-out regression file, same scheme as
-# bench-json: the per-cell AoI fan-out and the legacy full-world baseline
-# over the same fixtures, plus the grid RegionOf index, converted to
-# BENCH_tick.json. Beyond ns/op and allocs/op, each fan-out row carries a
-# custom fanoutB/tick metric — the tick's wire egress — which is the
-# number the AoI layer exists to bound: flat in world size, linear in
-# visible entities (DESIGN.md §14).
-BENCH_TICK = BenchmarkAoITickFanout|BenchmarkLegacyTickFanout|BenchmarkRegionOf
-
-bench-tick-json:
-	$(GO) test -bench='$(BENCH_TICK)' -benchmem -benchtime=2000x -run='^$$' \
-		./internal/fognet ./internal/virtualworld \
-		| $(GO) run ./cmd/benchjson -o BENCH_tick.json
-
-# Simulator scale regression file: full seeded deployments at 10k (the
-# paper's PeerSim profile), 100k, and 1M players, sequential vs parallel,
-# converted to BENCH_sim.json. Each row reports playerticks/s (player-
-# subcycle evaluations per wall second) and heapMB/run (the streaming-
-# metrics memory bar — RSS must stay O(1) in players, so the 1M row fits CI
-# memory). The Par/Seq ratio at one scale is the worker-pool speedup; the
-# ≥5× acceptance bar applies on a multi-core runner (on one core the pair
-# measures phasing overhead instead). Override the filter to regenerate a
-# subset, e.g. CI's 10k/100k-only run:
+# Benchmark regression files, one table row per committed
+# BENCH_<name>.json: the -bench filter, the -benchtime and the packages.
+# One rule runs a row's benchmarks with -benchmem and converts the output
+# with cmd/benchjson. The files are committed so reviewers can diff
+# allocs/op across PRs, and CI regenerates and uploads them as artifacts.
+# Absolute ns/op varies by machine; allocs/op, B/op and the custom metrics
+# are the stable regression signal. `make bench-<name>-json` regenerates
+# one file, `make bench-json` all four (the sim row includes the
+# 1M-player deployment). A filter can be narrowed on the command line,
+# e.g. CI's 10k/100k-only simulator run:
 #   make bench-sim-json BENCH_SIM='BenchmarkSimPlayers10k|BenchmarkSimPlayers100k'
-BENCH_SIM = BenchmarkSimPlayers
+#
+# wirepath: the zero-allocation encoders and readers, the tick fan-out
+#   and frame-stream loops, and the §3.2 selection paths they feed.
+# transport: the UDP video hot paths (header append/parse, tracker
+#   classification, per-frame datagram send and receive); the bar is
+#   0 allocs/op in steady state.
+# tick: the per-cell AoI fan-out and the full-world stream over the same
+#   fixtures, plus the grid RegionOf index. Each fan-out row carries a
+#   custom fanoutB/tick metric, the tick's wire egress: flat in world
+#   size, linear in visible entities (DESIGN.md §14).
+# sim: full seeded deployments at 10k (the paper's PeerSim profile),
+#   100k and 1M players, sequential vs parallel. Each row reports
+#   playerticks/s and heapMB/run; the Par/Seq ratio at one scale is the
+#   worker-pool speedup (on one core it measures phasing overhead).
+BENCH_FILES = wirepath transport tick sim
 
-bench-sim-json:
-	$(GO) test -bench='$(BENCH_SIM)' -benchmem -benchtime=1x -timeout 60m -run='^$$' \
-		./internal/core \
-		| $(GO) run ./cmd/benchjson -o BENCH_sim.json
+BENCH_WIREPATH = BenchmarkUpdateBatch|BenchmarkAppendFrame|BenchmarkFrameReader|BenchmarkTickFanout|BenchmarkFrameStream|BenchmarkEncode|BenchmarkDecode|BenchmarkRender|BenchmarkSelectorSelect|BenchmarkCandidateLadder|BenchmarkRank|BenchmarkCheckpoint
+wirepath_time = 2000x
+wirepath_pkgs = ./internal/protocol ./internal/fognet ./internal/videocodec \
+	./internal/render ./internal/fog ./internal/selection ./internal/checkpoint
+
+BENCH_TRANSPORT = BenchmarkDatagramHeader|BenchmarkTrackerTrack|BenchmarkDatagramSendFrame|BenchmarkDatagramRecvFrame
+transport_time = 2000x
+transport_pkgs = ./internal/transport ./internal/fognet
+
+BENCH_TICK = BenchmarkAoITickFanout|BenchmarkLegacyTickFanout|BenchmarkRegionOf
+tick_time = 2000x
+tick_pkgs = ./internal/fognet ./internal/virtualworld
+
+BENCH_SIM = BenchmarkSimPlayers
+sim_time = 1x
+sim_pkgs = ./internal/core
+
+wirepath_filter = $(BENCH_WIREPATH)
+transport_filter = $(BENCH_TRANSPORT)
+tick_filter = $(BENCH_TICK)
+sim_filter = $(BENCH_SIM)
+
+BENCH_JSON = $(BENCH_FILES:%=bench-%-json)
+
+bench-json: $(BENCH_JSON)
+
+$(BENCH_JSON): bench-%-json:
+	$(GO) test -bench='$($*_filter)' -benchmem -benchtime=$($*_time) -timeout 60m -run='^$$' \
+		$($*_pkgs) | $(GO) run ./cmd/benchjson -o BENCH_$*.json
 
 chaos:
 	$(GO) run ./examples/chaos

@@ -1,7 +1,7 @@
 // Package conndeadline enforces the failover-critical I/O rule from the
 // fault-tolerant fognet work (DESIGN.md §8): in the live-networking
 // packages (fognet, faultnet, transport), every Read or Write on a
-// net.Conn — every legacy protocol.ReadMessage/WriteMessage call that
+// net.Conn — every protocol.WriteMessage/ReadMessageInto call that
 // drives one, and every ReadFromUDPAddrPort/WriteToUDPAddrPort on a
 // datagram socket (transport.DatagramConn) — must be preceded, in the
 // same function literal, by a matching
@@ -42,10 +42,9 @@ const (
 	bothOps
 )
 
-// wireFuncs maps legacy protocol helpers that perform conn I/O through an
+// wireFuncs maps the protocol helpers that perform conn I/O through an
 // argument to the kind of deadline they need.
 var wireFuncs = map[string]ioKind{
-	"cloudfog/internal/protocol.ReadMessage":     readOp,
 	"cloudfog/internal/protocol.ReadMessageInto": readOp,
 	"cloudfog/internal/protocol.WriteMessage":    writeOp,
 }
@@ -186,7 +185,7 @@ func (c *checker) checkFunc(body *ast.BlockStmt) {
 			}
 			return true
 		}
-		// Legacy protocol helpers reading/writing through a conn argument.
+		// Protocol helpers reading/writing through a conn argument.
 		if kind, ok := wireFuncs[analysis.FullName(c.pass.TypesInfo, call)]; ok {
 			for _, arg := range call.Args {
 				if !c.isConn(arg) {

@@ -26,9 +26,15 @@ func wrongKind(conn net.Conn, buf []byte) (int, error) {
 	return conn.Write(buf) // want `conn\.Write on a net\.Conn without a preceding SetWriteDeadline`
 }
 
-// Positive: the legacy helpers drive conn I/O just the same.
-func legacyHandshake(conn net.Conn) error {
+// Positive: the protocol helpers drive conn I/O just the same.
+func bareHello(conn net.Conn) error {
 	return protocol.WriteMessage(conn, protocol.MsgBye, nil) // want `WriteMessage drives conn conn without a preceding SetWriteDeadline`
+}
+
+// Positive: a write deadline does not bless a handshake read.
+func bareReply(conn net.Conn) (protocol.MsgType, []byte, error) {
+	conn.SetWriteDeadline(time.Now().Add(time.Second))
+	return protocol.ReadMessageInto(conn, nil) // want `ReadMessageInto drives conn conn without a preceding SetReadDeadline`
 }
 
 // Positive: a deadline set in the enclosing function does not bless a
@@ -56,10 +62,16 @@ func guardedBoth(conn net.Conn, buf []byte) error {
 	return err
 }
 
-// Negative: the legacy helper under a deadline.
+// Negative: the handshake read under a deadline.
 func guardedHandshake(conn net.Conn) (protocol.MsgType, []byte, error) {
 	conn.SetReadDeadline(time.Now().Add(time.Second))
-	return protocol.ReadMessage(conn)
+	return protocol.ReadMessageInto(conn, nil)
+}
+
+// Negative: the handshake write under a deadline.
+func guardedHello(conn net.Conn) error {
+	conn.SetWriteDeadline(time.Now().Add(time.Second))
+	return protocol.WriteMessage(conn, protocol.MsgBye, nil)
 }
 
 // Negative: Read/Write on things that are not conns are out of scope.

@@ -15,7 +15,9 @@
 // Encoders follow the zero-allocation append style of the wire path
 // (DESIGN.md §10): AppendTo(buf) []byte grows the caller's buffer, and
 // decode reuses the destination's backing arrays. A steady-state
-// checkpoint encode performs zero allocations.
+// checkpoint encode performs zero allocations. The world snapshot and the
+// delta log use the wire protocol's world-state encoding and its Cursor,
+// so the standby decodes the same bytes a supernode replica does.
 package checkpoint
 
 import (
@@ -25,6 +27,7 @@ import (
 	"math"
 	"slices"
 
+	"cloudfog/internal/protocol"
 	"cloudfog/internal/reputation"
 	"cloudfog/internal/rng"
 	"cloudfog/internal/virtualworld"
@@ -83,14 +86,12 @@ type State struct {
 	RNG rng.State
 }
 
-const entityBytes = 4 + 1 + 4 + 8 + 8 + 8 + 2 + 1 + 4 // 40
-
 // EncodedSize returns the exact AppendTo length in bytes, computed
 // arithmetically.
 func (s *State) EncodedSize() int {
 	n := 4 + 2 // magic + version
 	n += 8     // epoch
-	n += 8 + 8 + 8 + 4 + len(s.World.Entities)*entityBytes
+	n += protocol.SnapshotSize(&s.World)
 	n += 4 // next ID
 	n += 4 + len(s.Sessions)*4
 	n += 4
@@ -114,13 +115,7 @@ func (s *State) AppendTo(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, Version)
 	buf = binary.BigEndian.AppendUint64(buf, s.Epoch)
 
-	buf = binary.BigEndian.AppendUint64(buf, s.World.Tick)
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.World.Width))
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.World.Height))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.World.Entities)))
-	for i := range s.World.Entities {
-		buf = appendEntity(buf, &s.World.Entities[i])
-	}
+	buf = protocol.AppendSnapshot(buf, &s.World)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(s.NextID))
 
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Sessions)))
@@ -156,64 +151,60 @@ func (s *State) AppendTo(buf []byte) []byte {
 // sessions, address table, book entries and their rating slices). On
 // error s holds partially decoded data and must not be used.
 func DecodeState(buf []byte, s *State) error {
-	d := dec{buf: buf}
-	if d.u32() != Magic {
-		if d.err != nil {
-			return d.err
+	d := protocol.NewCursor(buf)
+	if d.U32() != Magic {
+		if d.Err() != nil {
+			return ErrTruncated
 		}
 		return ErrBadMagic
 	}
-	if v := d.u16(); v != Version {
-		if d.err != nil {
-			return d.err
+	if v := d.U16(); v != Version {
+		if d.Err() != nil {
+			return ErrTruncated
 		}
 		return fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
-	s.Epoch = d.u64()
+	s.Epoch = d.U64()
 
-	s.World.Tick = d.u64()
-	s.World.Width = d.f64()
-	s.World.Height = d.f64()
-	ne := int(d.u32())
-	if !d.fits(ne, entityBytes) {
+	ne := d.SnapshotHeader(&s.World)
+	if !fits(&d, ne, protocol.EntityWireBytes) {
 		return ErrTruncated
 	}
-	s.World.Entities = s.World.Entities[:0]
-	for i := 0; i < ne; i++ {
-		s.World.Entities = append(s.World.Entities, d.entity())
-		if i > 0 && s.World.Entities[i].ID <= s.World.Entities[i-1].ID {
+	s.World.Entities = d.Entities(s.World.Entities[:0], ne)
+	for i := 1; i < ne; i++ {
+		if s.World.Entities[i].ID <= s.World.Entities[i-1].ID {
 			return ErrNotCanonical
 		}
 	}
-	s.NextID = virtualworld.EntityID(d.u32())
+	s.NextID = virtualworld.EntityID(d.U32())
 
-	ns := int(d.u32())
-	if !d.fits(ns, 4) {
+	ns := int(d.U32())
+	if !fits(&d, ns, 4) {
 		return ErrTruncated
 	}
 	s.Sessions = s.Sessions[:0]
 	for i := 0; i < ns; i++ {
-		s.Sessions = append(s.Sessions, d.i32())
+		s.Sessions = append(s.Sessions, d.I32())
 		if i > 0 && s.Sessions[i] <= s.Sessions[i-1] {
 			return ErrNotCanonical
 		}
 	}
 
-	na := int(d.u32())
-	if !d.fits(na, 2+4) {
+	na := int(d.U32())
+	if !fits(&d, na, 2+4) {
 		return ErrTruncated
 	}
 	s.AddrIDs = s.AddrIDs[:0]
 	for i := 0; i < na; i++ {
-		s.AddrIDs = append(s.AddrIDs, AddrID{Addr: d.str(), ID: d.i32()})
+		s.AddrIDs = append(s.AddrIDs, AddrID{Addr: d.Str(), ID: d.I32()})
 		if i > 0 && s.AddrIDs[i].Addr <= s.AddrIDs[i-1].Addr {
 			return ErrNotCanonical
 		}
 	}
 
-	s.Book.Lambda = d.f64()
-	nb := int(d.u32())
-	if !d.fits(nb, 4+4) {
+	s.Book.Lambda = d.F64()
+	nb := int(d.U32())
+	if !fits(&d, nb, 4+4) {
 		return ErrTruncated
 	}
 	entries := s.Book.Entries[:0]
@@ -224,14 +215,14 @@ func DecodeState(buf []byte, s *State) error {
 			entries = append(entries, reputation.BookEntry{})
 		}
 		e := &entries[len(entries)-1]
-		e.SupernodeID = int(d.i32())
-		nr := int(d.u32())
-		if !d.fits(nr, 8+4) {
+		e.SupernodeID = int(d.I32())
+		nr := int(d.U32())
+		if !fits(&d, nr, 8+4) {
 			return ErrTruncated
 		}
 		e.Ratings = e.Ratings[:0]
 		for k := 0; k < nr; k++ {
-			e.Ratings = append(e.Ratings, reputation.Rating{Value: d.f64(), Day: int(d.i32())})
+			e.Ratings = append(e.Ratings, reputation.Rating{Value: d.F64(), Day: int(d.I32())})
 		}
 		if i > 0 && entries[i].SupernodeID <= entries[i-1].SupernodeID {
 			return ErrNotCanonical
@@ -239,16 +230,10 @@ func DecodeState(buf []byte, s *State) error {
 	}
 	s.Book.Entries = entries
 
-	s.RNG.Seed = d.u64()
-	s.RNG.Splits = d.u64()
-	s.RNG.Draws = d.u64()
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(buf) {
-		return fmt.Errorf("checkpoint: %d trailing bytes", len(buf)-d.off)
-	}
-	return nil
+	s.RNG.Seed = d.U64()
+	s.RNG.Splits = d.U64()
+	s.RNG.Draws = d.U64()
+	return finish(&d)
 }
 
 // Canonicalize sorts the slice fields of s into canonical order. The
@@ -297,112 +282,22 @@ func Hash(encoded []byte) uint64 {
 	return h
 }
 
-// --- binary helpers ---------------------------------------------------------
-
-func appendEntity(buf []byte, e *virtualworld.Entity) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(e.ID))
-	buf = append(buf, uint8(e.Kind))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(e.Owner)))
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(e.X))
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(e.Y))
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(e.Facing))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(e.HP))
-	buf = append(buf, e.State)
-	buf = binary.BigEndian.AppendUint32(buf, e.Version)
-	return buf
-}
-
-// dec is a bounds-checked cursor over an encoded buffer, mirroring the
-// wire protocol's reader idiom.
-type dec struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *dec) need(n int) bool {
-	if d.err != nil {
-		return false
-	}
-	if d.off+n > len(d.buf) {
-		d.err = ErrTruncated
-		return false
-	}
-	return true
-}
+// --- decode helpers ---------------------------------------------------------
 
 // fits sanity-checks a decoded element count against the bytes remaining,
 // so a corrupt count fails fast instead of growing a huge slice.
-func (d *dec) fits(count, minBytes int) bool {
-	if d.err != nil {
-		return false
-	}
-	if count < 0 || count*minBytes > len(d.buf)-d.off {
-		d.err = ErrTruncated
-		return false
-	}
-	return true
+func fits(d *protocol.Cursor, count, minBytes int) bool {
+	return d.Err() == nil && count >= 0 && count*minBytes <= d.Remaining()
 }
 
-func (d *dec) u8() uint8 {
-	if !d.need(1) {
-		return 0
+// finish reports the outcome of a complete decode: a short read as
+// ErrTruncated, unread bytes as an error.
+func finish(d *protocol.Cursor) error {
+	if d.Err() != nil {
+		return ErrTruncated
 	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-func (d *dec) u16() uint16 {
-	if !d.need(2) {
-		return 0
+	if n := d.Remaining(); n != 0 {
+		return fmt.Errorf("checkpoint: %d trailing bytes", n)
 	}
-	v := binary.BigEndian.Uint16(d.buf[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *dec) i32() int32   { return int32(d.u32()) }
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *dec) str() string {
-	n := int(d.u16())
-	if !d.need(n) {
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-func (d *dec) entity() virtualworld.Entity {
-	return virtualworld.Entity{
-		ID:      virtualworld.EntityID(d.u32()),
-		Kind:    virtualworld.EntityKind(d.u8()),
-		Owner:   int(d.i32()),
-		X:       d.f64(),
-		Y:       d.f64(),
-		Facing:  d.f64(),
-		HP:      int16(d.u16()),
-		State:   d.u8(),
-		Version: d.u32(),
-	}
+	return nil
 }

@@ -2,8 +2,8 @@ package checkpoint
 
 import (
 	"encoding/binary"
-	"fmt"
 
+	"cloudfog/internal/protocol"
 	"cloudfog/internal/virtualworld"
 )
 
@@ -32,14 +32,7 @@ type LogEntry struct {
 
 // EncodedSize returns the exact AppendTo length in bytes.
 func (e *LogEntry) EncodedSize() int {
-	n := 8 + 8 + 4 + 4
-	for _, d := range e.Deltas {
-		n += 4 + 1
-		if !d.Removed {
-			n += entityBytes
-		}
-	}
-	return n
+	return 8 + 8 + 4 + protocol.DeltasSize(e.Deltas) // epoch + tick + next ID + delta list
 }
 
 // AppendTo appends the encoded entry to buf and returns the extended
@@ -50,47 +43,22 @@ func (e *LogEntry) AppendTo(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, e.Epoch)
 	buf = binary.BigEndian.AppendUint64(buf, e.Tick)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(e.NextID))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Deltas)))
-	for i := range e.Deltas {
-		d := &e.Deltas[i]
-		buf = binary.BigEndian.AppendUint32(buf, uint32(d.ID))
-		if d.Removed {
-			buf = append(buf, 1)
-			continue
-		}
-		buf = append(buf, 0)
-		buf = appendEntity(buf, &d.Entity)
-	}
-	return buf
+	return protocol.AppendDeltas(buf, e.Deltas)
 }
 
 // DecodeLogEntry decodes buf into e, reusing e.Deltas' capacity. On error
 // e holds partially decoded data and must not be used.
 func DecodeLogEntry(buf []byte, e *LogEntry) error {
-	d := dec{buf: buf}
-	e.Epoch = d.u64()
-	e.Tick = d.u64()
-	e.NextID = virtualworld.EntityID(d.u32())
-	n := int(d.u32())
-	if !d.fits(n, 4+1) {
+	d := protocol.NewCursor(buf)
+	e.Epoch = d.U64()
+	e.Tick = d.U64()
+	e.NextID = virtualworld.EntityID(d.U32())
+	n := int(d.U32())
+	if !fits(&d, n, 4+1) {
 		return ErrTruncated
 	}
-	e.Deltas = e.Deltas[:0]
-	for i := 0; i < n; i++ {
-		id := virtualworld.EntityID(d.u32())
-		if d.u8() != 0 {
-			e.Deltas = append(e.Deltas, virtualworld.Delta{ID: id, Removed: true})
-			continue
-		}
-		e.Deltas = append(e.Deltas, virtualworld.Delta{ID: id, Entity: d.entity()})
-	}
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(buf) {
-		return fmt.Errorf("checkpoint: %d trailing bytes", len(buf)-d.off)
-	}
-	return nil
+	e.Deltas = d.Deltas(e.Deltas[:0], n)
+	return finish(&d)
 }
 
 // Apply folds one log entry into a restored world. Entries come from a

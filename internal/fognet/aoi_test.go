@@ -127,7 +127,7 @@ func cloudAvatarPos(s *CloudServer, player int) (x, y float64, ok bool) {
 func applyCellBatchWire(t testing.TB, r *virtualworld.Replica, cb protocol.CellBatch) {
 	t.Helper()
 	var got protocol.CellBatch
-	if err := protocol.DecodeCellBatch(cb.Marshal(), &got); err != nil {
+	if err := protocol.DecodeCellBatch(cb.AppendTo(nil), &got); err != nil {
 		t.Fatalf("cell batch round trip: %v", err)
 	}
 	if got.Keyframe {

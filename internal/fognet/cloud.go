@@ -1120,7 +1120,7 @@ func (s *CloudServer) broadcastCandidates() {
 func (s *CloudServer) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	conn.SetReadDeadline(time.Now().Add(s.tc.HandshakeTimeout))
-	typ, payload, err := protocol.ReadMessage(conn)
+	typ, payload, err := protocol.ReadMessageInto(conn, nil)
 	if err != nil {
 		conn.Close()
 		return
@@ -1256,7 +1256,7 @@ func (s *CloudServer) resumeSupernode(conn net.Conn, req protocol.Resume) {
 	s.mu.Unlock()
 
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	err := protocol.WriteMessage(conn, protocol.MsgResumeReply, reply.Marshal())
+	err := protocol.WriteMessage(conn, protocol.MsgResumeReply, &reply)
 	conn.SetWriteDeadline(time.Time{})
 	if err != nil {
 		s.unregisterSupernode(sn, false)
@@ -1274,11 +1274,11 @@ func (s *CloudServer) serveFallbackStream(conn net.Conn) {
 	defer conn.Close()
 	reply := protocol.ProbeReply{Available: 1 << 15} // effectively unbounded
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	if protocol.WriteMessage(conn, protocol.MsgProbeReply, reply.Marshal()) != nil {
+	if protocol.WriteMessage(conn, protocol.MsgProbeReply, &reply) != nil {
 		return
 	}
 	conn.SetReadDeadline(time.Now().Add(s.tc.HandshakeTimeout))
-	typ, payload, err := protocol.ReadMessage(conn)
+	typ, payload, err := protocol.ReadMessageInto(conn, nil)
 	if err != nil || typ != protocol.MsgPlayerAttach {
 		return
 	}
@@ -1288,7 +1288,7 @@ func (s *CloudServer) serveFallbackStream(conn net.Conn) {
 		return
 	}
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	if protocol.WriteMessage(conn, protocol.MsgAttachReply, protocol.AttachReply{OK: true}.Marshal()) != nil {
+	if protocol.WriteMessage(conn, protocol.MsgAttachReply, &protocol.AttachReply{OK: true}) != nil {
 		return
 	}
 	conn.SetWriteDeadline(time.Time{})
@@ -1365,7 +1365,7 @@ func (s *CloudServer) serveSupernode(conn net.Conn, payload []byte) {
 	s.mu.Unlock()
 
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	err = protocol.WriteMessage(conn, protocol.MsgSupernodeWelcome, welcome.Marshal())
+	err = protocol.WriteMessage(conn, protocol.MsgSupernodeWelcome, &welcome)
 	conn.SetWriteDeadline(time.Time{})
 	if err != nil {
 		s.unregisterSupernode(sn, false)
@@ -1469,7 +1469,7 @@ func (s *CloudServer) servePlayer(conn net.Conn, payload []byte) {
 	}
 	pc.sendMu.Lock()
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	err = protocol.WriteMessage(conn, protocol.MsgJoinReply, reply.Marshal())
+	err = protocol.WriteMessage(conn, protocol.MsgJoinReply, &reply)
 	conn.SetWriteDeadline(time.Time{})
 	pc.sendMu.Unlock()
 	if err != nil {
@@ -1518,7 +1518,7 @@ func (s *CloudServer) resumePlayer(conn net.Conn, req protocol.Resume) {
 		//lint:ignore epochstamp refusal reply: OK=false carries no orderable state, the client falls back to a full rejoin
 		refuse := protocol.ResumeReply{Reason: "unknown session"}
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		protocol.WriteMessage(conn, protocol.MsgResumeReply, refuse.Marshal())
+		protocol.WriteMessage(conn, protocol.MsgResumeReply, &refuse)
 		conn.Close()
 		return
 	}
@@ -1540,7 +1540,7 @@ func (s *CloudServer) resumePlayer(conn net.Conn, req protocol.Resume) {
 	}
 	pc.sendMu.Lock()
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	err := protocol.WriteMessage(conn, protocol.MsgResumeReply, reply.Marshal())
+	err := protocol.WriteMessage(conn, protocol.MsgResumeReply, &reply)
 	conn.SetWriteDeadline(time.Time{})
 	pc.sendMu.Unlock()
 	if err != nil {

@@ -263,11 +263,11 @@ func (f *FogNode) connectCloud() (net.Conn, protocol.SupernodeWelcome, error) {
 		StreamAddr: f.listener.Addr().String(),
 	}
 	conn.SetDeadline(time.Now().Add(f.tc.HandshakeTimeout))
-	if err := protocol.WriteMessage(conn, protocol.MsgSupernodeHello, hello.Marshal()); err != nil {
+	if err := protocol.WriteMessage(conn, protocol.MsgSupernodeHello, &hello); err != nil {
 		conn.Close()
 		return nil, zero, fmt.Errorf("fog register: %w", err)
 	}
-	typ, payload, err := protocol.ReadMessage(conn)
+	typ, payload, err := protocol.ReadMessageInto(conn, nil)
 	if err != nil || typ != protocol.MsgSupernodeWelcome {
 		conn.Close()
 		return nil, zero, fmt.Errorf("fog welcome: %v %w", typ, err)
@@ -629,11 +629,11 @@ func (f *FogNode) resumeCloud(addr string) (net.Conn, protocol.ResumeReply, erro
 	}
 	f.mu.Unlock()
 	conn.SetDeadline(time.Now().Add(f.tc.HandshakeTimeout))
-	if werr := protocol.WriteMessage(conn, protocol.MsgResume, req.Marshal()); werr != nil {
+	if werr := protocol.WriteMessage(conn, protocol.MsgResume, &req); werr != nil {
 		conn.Close()
 		return nil, zero, fmt.Errorf("fog resume: %w", werr)
 	}
-	typ, payload, rerr := protocol.ReadMessage(conn)
+	typ, payload, rerr := protocol.ReadMessageInto(conn, nil)
 	if rerr != nil || typ != protocol.MsgResumeReply {
 		conn.Close()
 		return nil, zero, fmt.Errorf("fog resume reply: %v %w", typ, rerr)
@@ -748,7 +748,7 @@ func (f *FogNode) servePlayer(conn net.Conn) {
 	attached := false
 	for !attached {
 		conn.SetReadDeadline(time.Now().Add(f.tc.HandshakeTimeout))
-		typ, payload, err := protocol.ReadMessage(conn)
+		typ, payload, err := protocol.ReadMessageInto(conn, nil)
 		if err != nil {
 			return
 		}
@@ -759,7 +759,7 @@ func (f *FogNode) servePlayer(conn net.Conn) {
 			f.mu.Unlock()
 			reply := protocol.ProbeReply{Available: f.available()}
 			conn.SetWriteDeadline(time.Now().Add(f.cfg.WriteTimeout))
-			if protocol.WriteMessage(conn, protocol.MsgProbeReply, reply.Marshal()) != nil {
+			if protocol.WriteMessage(conn, protocol.MsgProbeReply, &reply) != nil {
 				return
 			}
 		case protocol.MsgPlayerAttach:
@@ -778,7 +778,7 @@ func (f *FogNode) servePlayer(conn net.Conn) {
 				reply.Reason = "at capacity"
 			}
 			conn.SetWriteDeadline(time.Now().Add(f.cfg.WriteTimeout))
-			if protocol.WriteMessage(conn, protocol.MsgAttachReply, reply.Marshal()) != nil {
+			if protocol.WriteMessage(conn, protocol.MsgAttachReply, &reply) != nil {
 				if ok {
 					f.mu.Lock()
 					delete(f.attached, attach.PlayerID)

@@ -232,11 +232,11 @@ func NewPlayerClient(cfg PlayerConfig) (*PlayerClient, error) {
 		SpawnY:   r.Uniform(50, 400),
 	}
 	cloud.SetDeadline(time.Now().Add(tc.HandshakeTimeout))
-	if err := protocol.WriteMessage(cloud, protocol.MsgPlayerJoin, join.Marshal()); err != nil {
+	if err := protocol.WriteMessage(cloud, protocol.MsgPlayerJoin, &join); err != nil {
 		cloud.Close()
 		return nil, fmt.Errorf("player join: %w", err)
 	}
-	typ, payload, err := protocol.ReadMessage(cloud)
+	typ, payload, err := protocol.ReadMessageInto(cloud, nil)
 	if err != nil || typ != protocol.MsgJoinReply {
 		cloud.Close()
 		return nil, fmt.Errorf("player join reply: %v %w", typ, err)
@@ -353,7 +353,7 @@ func (p *PlayerClient) attachToAny(addrs []string) (net.Conn, error) {
 			conn.Close()
 			continue
 		}
-		typ, payload, err := protocol.ReadMessage(conn)
+		typ, payload, err := protocol.ReadMessageInto(conn, nil)
 		if err != nil || typ != protocol.MsgProbeReply {
 			conn.Close()
 			continue
@@ -368,11 +368,11 @@ func (p *PlayerClient) attachToAny(addrs []string) (net.Conn, error) {
 			PlayerID:     p.cfg.PlayerID,
 			QualityLevel: uint8(p.level),
 		}
-		if err := protocol.WriteMessage(conn, protocol.MsgPlayerAttach, attach.Marshal()); err != nil {
+		if err := protocol.WriteMessage(conn, protocol.MsgPlayerAttach, &attach); err != nil {
 			conn.Close()
 			continue
 		}
-		typ, payload, err = protocol.ReadMessage(conn)
+		typ, payload, err = protocol.ReadMessageInto(conn, nil)
 		if err != nil || typ != protocol.MsgAttachReply {
 			conn.Close()
 			continue
@@ -391,7 +391,7 @@ func (p *PlayerClient) attachToAny(addrs []string) (net.Conn, error) {
 			// upgrade. Frames keep flowing over TCP until the hello
 			// lands, so a refusal costs nothing.
 			req := protocol.DatagramRequest{PlayerID: p.cfg.PlayerID}
-			if protocol.WriteMessage(conn, protocol.MsgDatagramRequest, req.Marshal()) != nil {
+			if protocol.WriteMessage(conn, protocol.MsgDatagramRequest, &req) != nil {
 				conn.Close()
 				continue
 			}
@@ -552,7 +552,7 @@ func (p *PlayerClient) reportQoE(addr string, rating float64, stalled, fallback 
 	}
 	p.cloudMu.Lock()
 	p.cloud.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
-	err := protocol.WriteMessage(p.cloud, protocol.MsgQoEReport, rep.Marshal())
+	err := protocol.WriteMessage(p.cloud, protocol.MsgQoEReport, &rep)
 	p.cloud.SetWriteDeadline(time.Time{})
 	p.cloudMu.Unlock()
 	if err == nil {
@@ -761,11 +761,11 @@ func (p *PlayerClient) dialResume(addr string, req protocol.Resume) (net.Conn, p
 		return nil, zero, err
 	}
 	conn.SetDeadline(time.Now().Add(p.tc.HandshakeTimeout))
-	if werr := protocol.WriteMessage(conn, protocol.MsgResume, req.Marshal()); werr != nil {
+	if werr := protocol.WriteMessage(conn, protocol.MsgResume, &req); werr != nil {
 		conn.Close()
 		return nil, zero, werr
 	}
-	typ, payload, rerr := protocol.ReadMessage(conn)
+	typ, payload, rerr := protocol.ReadMessageInto(conn, nil)
 	if rerr != nil || typ != protocol.MsgResumeReply {
 		conn.Close()
 		return nil, zero, fmt.Errorf("player resume reply: %v %w", typ, rerr)

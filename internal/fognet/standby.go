@@ -250,7 +250,7 @@ func (sb *Standby) follow() (bye bool) {
 	}()
 	hello := protocol.StandbyHello{Addr: sb.listener.Addr().String()}
 	conn.SetWriteDeadline(time.Now().Add(sb.cfg.WriteTimeout))
-	if protocol.WriteMessage(conn, protocol.MsgStandbyHello, hello.Marshal()) != nil {
+	if protocol.WriteMessage(conn, protocol.MsgStandbyHello, &hello) != nil {
 		return false
 	}
 	conn.SetWriteDeadline(time.Time{})

@@ -188,7 +188,7 @@ func runVideoSession(
 				reply, sess = offer.offerDatagram()
 			}
 			var err error
-			out.B, err = protocol.AppendFrame(out.B[:0], protocol.MsgDatagramReply, reply.Marshal())
+			out.B, err = protocol.AppendMessage(out.B[:0], protocol.MsgDatagramReply, &reply)
 			if err != nil {
 				return
 			}

@@ -26,7 +26,7 @@ func fanoutBatch(n int) protocol.UpdateBatch {
 	return protocol.UpdateBatch{Tick: 42, Deltas: deltas}
 }
 
-// fanoutWidth is the supernode count both tick fan-out benchmarks serve.
+// fanoutWidth is the supernode count the tick fan-out benchmark serves.
 const fanoutWidth = 8
 
 // BenchmarkTickFanout measures the zero-allocation fan-out path end to
@@ -78,23 +78,6 @@ func BenchmarkTickFanout(b *testing.B) {
 				pending[j] = outMsg{}
 			}
 			protocol.PutBuffer(buf)
-		}
-	}
-}
-
-// BenchmarkTickFanoutLegacy is the pre-change baseline kept for
-// comparison: the old tick loop marshaled the batch once per supernode and
-// framed it through WriteMessage, allocating payload + header every time.
-// Compare against BenchmarkTickFanout in the same -benchmem run.
-func BenchmarkTickFanoutLegacy(b *testing.B) {
-	batch := fanoutBatch(64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < fanoutWidth; j++ {
-			if err := protocol.WriteMessage(io.Discard, protocol.MsgUpdateBatch, batch.Marshal()); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }

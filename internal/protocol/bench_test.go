@@ -7,46 +7,9 @@ import (
 	"cloudfog/internal/virtualworld"
 )
 
-// BenchmarkUpdateBatchMarshal measures encoding one 100-delta update batch
-// — the cloud's per-supernode per-tick serialization cost.
-func BenchmarkUpdateBatchMarshal(b *testing.B) {
-	batch := UpdateBatch{Tick: 1}
-	for i := 0; i < 100; i++ {
-		batch.Deltas = append(batch.Deltas, virtualworld.Delta{
-			ID: virtualworld.EntityID(i + 1),
-			Entity: virtualworld.Entity{
-				ID: virtualworld.EntityID(i + 1), Kind: virtualworld.KindAvatar,
-				Owner: i, X: float64(i), Y: float64(i), HP: 100, Version: uint32(i),
-			},
-		})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch.Marshal()
-	}
-}
-
-// BenchmarkUpdateBatchUnmarshal measures the supernode-side decode cost.
-func BenchmarkUpdateBatchUnmarshal(b *testing.B) {
-	batch := UpdateBatch{Tick: 1}
-	for i := 0; i < 100; i++ {
-		batch.Deltas = append(batch.Deltas, virtualworld.Delta{
-			ID:     virtualworld.EntityID(i + 1),
-			Entity: virtualworld.Entity{ID: virtualworld.EntityID(i + 1), Version: 1},
-		})
-	}
-	buf := batch.Marshal()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := UnmarshalUpdateBatch(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkUpdateBatchAppendTo measures the append-style encode into a
-// warm buffer — the zero-allocation replacement for Marshal on the
-// cloud's per-tick path.
+// BenchmarkUpdateBatchAppendTo measures encoding one 100-delta update
+// batch into a warm buffer — the cloud's per-supernode per-tick
+// serialization cost.
 func BenchmarkUpdateBatchAppendTo(b *testing.B) {
 	batch := benchBatch(100)
 	buf := make([]byte, 0, batch.EncodedSize())
@@ -57,11 +20,10 @@ func BenchmarkUpdateBatchAppendTo(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateBatchDecodeInto measures the reusable decode — the
-// zero-allocation replacement for UnmarshalUpdateBatch on the supernode's
-// apply loop.
+// BenchmarkUpdateBatchDecodeInto measures the reusable decode on the
+// supernode's apply loop.
 func BenchmarkUpdateBatchDecodeInto(b *testing.B) {
-	payload := benchBatch(100).Marshal()
+	payload := benchBatch(100).AppendTo(nil)
 	var m UpdateBatch
 	// Warm m.Deltas to steady-state capacity: the first decode's slice
 	// growth is a one-time cost per connection, not a per-op one, and
@@ -79,24 +41,9 @@ func BenchmarkUpdateBatchDecodeInto(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteMessage is the legacy wire path — Marshal, then a framed
-// WriteMessage (two Write calls, fresh header and payload per message).
-// It is the baseline the append-path benchmarks below are measured
-// against.
-func BenchmarkWriteMessage(b *testing.B) {
-	batch := benchBatch(100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := WriteMessage(io.Discard, MsgUpdateBatch, batch.Marshal()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAppendFrame is the replacement wire path: encode the message
-// and its frame header into one reused buffer and flush with a single
-// Write. Steady state must be 0 allocs/op.
+// BenchmarkAppendFrame is the wire path: encode the message and its frame
+// header into one reused buffer and flush with a single Write. Steady
+// state must be 0 allocs/op.
 func BenchmarkAppendFrame(b *testing.B) {
 	batch := benchBatch(100)
 	buf := make([]byte, 0, batch.EncodedSize()+HeaderLen)
@@ -114,28 +61,10 @@ func BenchmarkAppendFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkReadMessage is the legacy receive path: a fresh header and
-// payload allocation per message.
-func BenchmarkReadMessage(b *testing.B) {
-	stream, err := AppendFrame(nil, MsgUpdateBatch, benchBatch(100).Marshal())
-	if err != nil {
-		b.Fatal(err)
-	}
-	rs := &repeatStream{data: stream}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ReadMessage(rs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFrameReader is the replacement receive path: one growable
-// buffer per connection, reused across messages. Steady state must be
-// 0 allocs/op.
+// BenchmarkFrameReader is the receive path: one growable buffer per
+// connection, reused across messages. Steady state must be 0 allocs/op.
 func BenchmarkFrameReader(b *testing.B) {
-	stream, err := AppendFrame(nil, MsgUpdateBatch, benchBatch(100).Marshal())
+	stream, err := AppendFrame(nil, MsgUpdateBatch, benchBatch(100).AppendTo(nil))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -166,7 +95,7 @@ func BenchmarkCellBatchAppendTo(b *testing.B) {
 
 // BenchmarkCellBatchDecodeInto measures the fog-side per-cell decode.
 func BenchmarkCellBatchDecodeInto(b *testing.B) {
-	payload := CellBatch{Tick: 1, Cell: 7, Deltas: benchBatch(20).Deltas}.Marshal()
+	payload := CellBatch{Tick: 1, Cell: 7, Deltas: benchBatch(20).Deltas}.AppendTo(nil)
 	var m CellBatch
 	if err := DecodeCellBatch(payload, &m); err != nil { // warm capacity
 		b.Fatal(err)

@@ -7,7 +7,7 @@ import (
 
 func TestDatagramRequestRoundTrip(t *testing.T) {
 	m := DatagramRequest{PlayerID: 4711}
-	got, err := UnmarshalDatagramRequest(m.Marshal())
+	got, err := UnmarshalDatagramRequest(m.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestDatagramReplyRoundTrip(t *testing.T) {
 		{OK: false, Reason: "datagram video disabled"},
 		{},
 	} {
-		got, err := UnmarshalDatagramReply(m.Marshal())
+		got, err := UnmarshalDatagramReply(m.AppendTo(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func TestDatagramReplyRoundTrip(t *testing.T) {
 }
 
 func TestDatagramUnmarshalRejectsTruncated(t *testing.T) {
-	full := DatagramReply{OK: true, Addr: "x", Reason: "y"}.Marshal()
+	full := DatagramReply{OK: true, Addr: "x", Reason: "y"}.AppendTo(nil)
 	for i := 0; i < len(full); i++ {
 		if _, err := UnmarshalDatagramReply(full[:i]); err == nil {
 			t.Errorf("truncation at %d accepted", i)
@@ -51,32 +51,28 @@ func TestDatagramMsgTypeNames(t *testing.T) {
 	}
 }
 
-// FuzzStreamFramingParity pins the transport-seam refactor to the legacy
-// stream framing byte-for-byte: for any message type and payload, the
-// append-style encoder, the legacy writer, and both readers must agree on
-// the exact bytes. The TCP transport carries control messages,
-// checkpoints, and resume handshakes — none of them may shift by a bit.
+// FuzzStreamFramingParity pins the stream framing byte-for-byte: for any
+// message type and payload, AppendFrame over the encoded payload and
+// AppendMessage encoding in place must produce the same bytes, and the
+// frame reader must recover the message. The TCP transport carries
+// control messages, checkpoints, and resume handshakes — none of them may
+// shift by a bit.
 func FuzzStreamFramingParity(f *testing.F) {
 	f.Add(uint8(MsgVideoFrame), []byte("frame"))
 	f.Add(uint8(MsgBye), []byte{})
 	f.Add(uint8(MsgCheckpoint), bytes.Repeat([]byte{0xA5}, 1024))
-	f.Add(uint8(MsgDatagramReply), DatagramReply{OK: true, Addr: "a"}.Marshal())
+	f.Add(uint8(MsgDatagramReply), DatagramReply{OK: true, Addr: "a"}.AppendTo(nil))
 	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
 		appended, err := AppendFrame(nil, MsgType(typ), payload)
 		if err != nil {
 			t.Fatalf("AppendFrame: %v", err)
 		}
-		var legacy bytes.Buffer
-		if err := WriteMessage(&legacy, MsgType(typ), payload); err != nil {
-			t.Fatalf("WriteMessage: %v", err)
+		inPlace, err := AppendMessage(nil, MsgType(typ), rawPayload(payload))
+		if err != nil {
+			t.Fatalf("AppendMessage: %v", err)
 		}
-		if !bytes.Equal(appended, legacy.Bytes()) {
-			t.Fatalf("append framing %x differs from legacy framing %x", appended, legacy.Bytes())
-		}
-		// Both readers recover the identical message.
-		rtyp, rpayload, err := ReadMessage(bytes.NewReader(appended))
-		if err != nil || rtyp != MsgType(typ) || !bytes.Equal(rpayload, payload) {
-			t.Fatalf("ReadMessage: %v %v", rtyp, err)
+		if !bytes.Equal(appended, inPlace) {
+			t.Fatalf("AppendFrame %x differs from AppendMessage %x", appended, inPlace)
 		}
 		fr := NewFrameReader(bytes.NewReader(appended))
 		ftyp, fpayload, err := fr.Next()

@@ -28,9 +28,6 @@ type InterestUpdate struct {
 	Cells []uint32
 }
 
-// Marshal encodes the message.
-func (m InterestUpdate) Marshal() []byte { return m.AppendTo(nil) }
-
 // AppendTo appends the encoded message to buf and returns the extended
 // slice; with enough capacity it does not allocate.
 func (m InterestUpdate) AppendTo(buf []byte) []byte {
@@ -48,39 +45,32 @@ func (m InterestUpdate) AppendTo(buf []byte) []byte {
 	return w.buf
 }
 
-// EncodedSize returns the exact Marshal()ed length in bytes.
+// EncodedSize returns the exact AppendTo length in bytes.
 func (m InterestUpdate) EncodedSize() int {
 	return 4 + 8 + 4 + 4*len(m.Players) + 4 + 4*len(m.Cells)
-}
-
-// UnmarshalInterestUpdate decodes the message.
-func UnmarshalInterestUpdate(buf []byte) (InterestUpdate, error) {
-	var m InterestUpdate
-	err := DecodeInterestUpdate(buf, &m)
-	return m, err
 }
 
 // DecodeInterestUpdate decodes into m, reusing m.Players' and m.Cells'
 // capacity. On error m holds partially decoded data and must not be used.
 func DecodeInterestUpdate(buf []byte, m *InterestUpdate) error {
-	r := &reader{buf: buf}
-	m.Gen = r.u32()
-	m.CellSize = r.f64()
+	r := NewCursor(buf)
+	m.Gen = r.U32()
+	m.CellSize = r.F64()
 	m.Players = m.Players[:0]
-	np := int(r.u32())
+	np := int(r.U32())
 	if np > MaxPayload/4 {
 		return ErrTooLarge
 	}
 	for i := 0; i < np && r.err == nil; i++ {
-		m.Players = append(m.Players, r.i32())
+		m.Players = append(m.Players, r.I32())
 	}
 	m.Cells = m.Cells[:0]
-	nc := int(r.u32())
+	nc := int(r.U32())
 	if nc > MaxPayload/4 {
 		return ErrTooLarge
 	}
 	for i := 0; i < nc && r.err == nil; i++ {
-		m.Cells = append(m.Cells, r.u32())
+		m.Cells = append(m.Cells, r.U32())
 	}
 	return r.finish()
 }
@@ -107,9 +97,6 @@ type CellBatch struct {
 	Deltas []virtualworld.Delta
 }
 
-// Marshal encodes the message.
-func (m CellBatch) Marshal() []byte { return m.AppendTo(nil) }
-
 // AppendTo appends the encoded message to buf and returns the extended
 // slice; with enough capacity it does not allocate.
 func (m CellBatch) AppendTo(buf []byte) []byte {
@@ -122,62 +109,31 @@ func (m CellBatch) AppendTo(buf []byte) []byte {
 	} else {
 		w.u8(0)
 	}
-	w.u32(uint32(len(m.Deltas)))
-	for _, d := range m.Deltas {
-		w.u32(uint32(d.ID))
-		if d.Removed {
-			w.u8(1)
-		} else {
-			w.u8(0)
-			putEntity(&w, d.Entity)
-		}
-	}
-	return w.buf
-}
-
-// UnmarshalCellBatch decodes the message.
-func UnmarshalCellBatch(buf []byte) (CellBatch, error) {
-	var m CellBatch
-	err := DecodeCellBatch(buf, &m)
-	return m, err
+	return AppendDeltas(w.buf, m.Deltas)
 }
 
 // DecodeCellBatch decodes into m, reusing m.Deltas' capacity — the
 // allocation-free decode for the supernode's per-tick apply loop. On
 // error m holds partially decoded data and must not be used.
 func DecodeCellBatch(buf []byte, m *CellBatch) error {
-	r := &reader{buf: buf}
-	m.Epoch = r.u64()
-	m.Tick = r.u64()
-	m.Cell = r.u32()
-	m.Keyframe = r.u8() == 1
+	r := NewCursor(buf)
+	m.Epoch = r.U64()
+	m.Tick = r.U64()
+	m.Cell = r.U32()
+	m.Keyframe = r.U8() == 1
 	m.Deltas = m.Deltas[:0]
-	n := int(r.u32())
+	n := int(r.U32())
 	if n > MaxPayload/5 {
 		return ErrTooLarge
 	}
-	for i := 0; i < n && r.err == nil; i++ {
-		id := virtualworld.EntityID(r.u32())
-		if r.u8() == 1 {
-			m.Deltas = append(m.Deltas, virtualworld.Delta{ID: id, Removed: true})
-		} else {
-			m.Deltas = append(m.Deltas, virtualworld.Delta{ID: id, Entity: getEntity(r)})
-		}
-	}
+	m.Deltas = r.Deltas(m.Deltas, n)
 	return r.finish()
 }
 
 // SizeBits returns the encoded size in bits (Λ accounting).
 func (m CellBatch) SizeBits() int { return m.EncodedSize() * 8 }
 
-// EncodedSize returns the exact Marshal()ed length in bytes.
+// EncodedSize returns the exact AppendTo length in bytes.
 func (m CellBatch) EncodedSize() int {
-	n := 8 + 8 + 4 + 1 + 4 // epoch + tick + cell + keyframe + delta count
-	for _, d := range m.Deltas {
-		n += 4 + 1
-		if !d.Removed {
-			n += EntityWireBytes
-		}
-	}
-	return n
+	return 8 + 8 + 4 + 1 + DeltasSize(m.Deltas) // epoch + tick + cell + keyframe + delta list
 }

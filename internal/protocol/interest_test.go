@@ -14,8 +14,8 @@ func TestInterestUpdateRoundTrip(t *testing.T) {
 		{Gen: 2, CellSize: 64, Cells: []uint32{virtualworld.CellNone}},
 	}
 	for _, m := range cases {
-		got, err := UnmarshalInterestUpdate(m.Marshal())
-		if err != nil {
+		var got InterestUpdate
+		if err := DecodeInterestUpdate(m.AppendTo(nil), &got); err != nil {
 			t.Fatalf("unmarshal %+v: %v", m, err)
 		}
 		if got.Gen != m.Gen || got.CellSize != m.CellSize ||
@@ -32,16 +32,17 @@ func TestInterestUpdateRoundTrip(t *testing.T) {
 				t.Fatalf("cells differ: %v vs %v", got.Cells, m.Cells)
 			}
 		}
-		if got, want := m.EncodedSize(), len(m.Marshal()); got != want {
+		if got, want := m.EncodedSize(), len(m.AppendTo(nil)); got != want {
 			t.Fatalf("EncodedSize = %d, want %d", got, want)
 		}
 	}
 }
 
 func TestInterestUpdateTruncated(t *testing.T) {
-	buf := InterestUpdate{Gen: 1, CellSize: 64, Players: []int32{1, 2}, Cells: []uint32{3, 4}}.Marshal()
+	buf := InterestUpdate{Gen: 1, CellSize: 64, Players: []int32{1, 2}, Cells: []uint32{3, 4}}.AppendTo(nil)
 	for i := 0; i < len(buf); i++ {
-		if _, err := UnmarshalInterestUpdate(buf[:i]); err == nil {
+		var m InterestUpdate
+		if err := DecodeInterestUpdate(buf[:i], &m); err == nil {
 			t.Fatalf("truncation at %d not detected", i)
 		}
 	}
@@ -67,8 +68,8 @@ func testCellBatch(n int) CellBatch {
 func TestCellBatchRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 64} {
 		m := testCellBatch(n)
-		got, err := UnmarshalCellBatch(m.Marshal())
-		if err != nil {
+		var got CellBatch
+		if err := DecodeCellBatch(m.AppendTo(nil), &got); err != nil {
 			t.Fatalf("unmarshal n=%d: %v", n, err)
 		}
 		if got.Epoch != m.Epoch || got.Tick != m.Tick || got.Cell != m.Cell ||
@@ -80,16 +81,17 @@ func TestCellBatchRoundTrip(t *testing.T) {
 				t.Fatalf("delta %d differs: %+v vs %+v", i, got.Deltas[i], m.Deltas[i])
 			}
 		}
-		if got, want := m.EncodedSize(), len(m.Marshal()); got != want {
+		if got, want := m.EncodedSize(), len(m.AppendTo(nil)); got != want {
 			t.Fatalf("EncodedSize(n=%d) = %d, want %d", n, got, want)
 		}
 	}
 }
 
 func TestCellBatchTruncated(t *testing.T) {
-	buf := testCellBatch(3).Marshal()
+	buf := testCellBatch(3).AppendTo(nil)
 	for i := 0; i < len(buf); i++ {
-		if _, err := UnmarshalCellBatch(buf[:i]); err == nil {
+		var m CellBatch
+		if err := DecodeCellBatch(buf[:i], &m); err == nil {
 			t.Fatalf("truncation at %d not detected", i)
 		}
 	}
@@ -99,7 +101,7 @@ func TestCellBatchTruncated(t *testing.T) {
 // at zero allocations once the delta slice capacity is warm — the same
 // bar DecodeUpdateBatch holds.
 func TestDecodeCellBatchSteadyStateAllocs(t *testing.T) {
-	payload := testCellBatch(64).Marshal()
+	payload := testCellBatch(64).AppendTo(nil)
 	var m CellBatch
 	if err := DecodeCellBatch(payload, &m); err != nil {
 		t.Fatal(err)
@@ -117,7 +119,7 @@ func TestDecodeCellBatchSteadyStateAllocs(t *testing.T) {
 // TestDecodeInterestUpdateSteadyStateAllocs pins the cloud-side decode.
 func TestDecodeInterestUpdateSteadyStateAllocs(t *testing.T) {
 	payload := InterestUpdate{Gen: 4, CellSize: 64,
-		Players: []int32{1, 2, 3, 4}, Cells: []uint32{0, 1, 2, 3, 16, 17, 18, 19}}.Marshal()
+		Players: []int32{1, 2, 3, 4}, Cells: []uint32{0, 1, 2, 3, 16, 17, 18, 19}}.AppendTo(nil)
 	var m InterestUpdate
 	if err := DecodeInterestUpdate(payload, &m); err != nil {
 		t.Fatal(err)

@@ -13,8 +13,12 @@
 //	uint32 payload length | uint8 message type | payload
 //
 // Encoding is hand-rolled big-endian binary (stdlib only, no reflection on
-// the hot paths). Every message type has Marshal/Unmarshal pairs and a
-// round-trip test.
+// the hot paths). Every message type has one encoder, AppendTo, and one
+// decoder (Unmarshal*, or Decode* reusing the destination's slices), with
+// a round-trip test and a golden wire-bytes test. The world state — an
+// entity, a delta list, a snapshot — has one encoding (worldstate.go),
+// shared by the update stream, the welcome and resume messages, and the
+// checkpoint log.
 package protocol
 
 import (
@@ -191,43 +195,21 @@ var (
 	ErrTruncated = errors.New("protocol: truncated payload")
 )
 
-// WriteMessage frames and writes one message. It costs two Write calls and
-// a header allocation per message; the hot paths use AppendFrame /
-// AppendMessage into a caller-owned buffer and flush once instead.
-func WriteMessage(w io.Writer, t MsgType, payload []byte) error {
-	if len(payload) > MaxPayload {
-		return ErrTooLarge
+// WriteMessage frames m and sends it with a single Write; a nil m sends an
+// empty payload (MsgBye, MsgProbe). It is the one-shot path for control
+// messages and handshakes: the frame is built in a fresh slice, so a large
+// message such as a supernode welcome never parks its capacity in the
+// GetBuffer pool. Per-tick and per-frame paths append into a reused
+// buffer with AppendMessage instead.
+func WriteMessage(w io.Writer, t MsgType, m Appender) error {
+	buf, err := AppendMessage(nil, t, m)
+	if err != nil {
+		return err
 	}
-	hdr := make([]byte, headerLen)
-	binary.BigEndian.PutUint32(hdr, uint32(len(payload)))
-	hdr[4] = byte(t)
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("write header: %w", err)
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return fmt.Errorf("write payload: %w", err)
-		}
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("write message: %w", err)
 	}
 	return nil
-}
-
-// ReadMessage reads one framed message.
-func ReadMessage(r io.Reader) (MsgType, []byte, error) {
-	hdr := make([]byte, headerLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr)
-	if n > MaxPayload {
-		return 0, nil, ErrTooLarge
-	}
-	t := MsgType(hdr[4])
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("read payload: %w", err)
-	}
-	return t, payload, nil
 }
 
 // --- binary helpers ---------------------------------------------------------
@@ -247,13 +229,27 @@ func (w *writer) str(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-type reader struct {
+// Cursor is the bounds-checked big-endian reader behind every decoder in
+// the module: the wire messages here and the checkpoint records in
+// internal/checkpoint. The first short read latches ErrTruncated; later
+// reads return zero values, so a decoder reads its fields straight
+// through and checks the error once.
+type Cursor struct {
 	buf []byte
 	off int
 	err error
 }
 
-func (r *reader) need(n int) bool {
+// NewCursor returns a cursor at the start of buf.
+func NewCursor(buf []byte) Cursor { return Cursor{buf: buf} }
+
+// Err returns ErrTruncated once a read has run past the end, else nil.
+func (r *Cursor) Err() error { return r.err }
+
+// Remaining returns the number of unread bytes.
+func (r *Cursor) Remaining() int { return len(r.buf) - r.off }
+
+func (r *Cursor) need(n int) bool {
 	if r.err != nil {
 		return false
 	}
@@ -264,7 +260,8 @@ func (r *reader) need(n int) bool {
 	return true
 }
 
-func (r *reader) u8() uint8 {
+// U8 reads one byte.
+func (r *Cursor) U8() uint8 {
 	if !r.need(1) {
 		return 0
 	}
@@ -273,7 +270,8 @@ func (r *reader) u8() uint8 {
 	return v
 }
 
-func (r *reader) u16() uint16 {
+// U16 reads a big-endian uint16.
+func (r *Cursor) U16() uint16 {
 	if !r.need(2) {
 		return 0
 	}
@@ -282,7 +280,8 @@ func (r *reader) u16() uint16 {
 	return v
 }
 
-func (r *reader) u32() uint32 {
+// U32 reads a big-endian uint32.
+func (r *Cursor) U32() uint32 {
 	if !r.need(4) {
 		return 0
 	}
@@ -291,7 +290,8 @@ func (r *reader) u32() uint32 {
 	return v
 }
 
-func (r *reader) u64() uint64 {
+// U64 reads a big-endian uint64.
+func (r *Cursor) U64() uint64 {
 	if !r.need(8) {
 		return 0
 	}
@@ -300,10 +300,15 @@ func (r *reader) u64() uint64 {
 	return v
 }
 
-func (r *reader) i32() int32   { return int32(r.u32()) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *reader) str() string {
-	n := int(r.u16())
+// I32 reads a big-endian int32.
+func (r *Cursor) I32() int32 { return int32(r.U32()) }
+
+// F64 reads a big-endian IEEE 754 float64.
+func (r *Cursor) F64() float64 { return math.Float64frombits(r.U64()) }
+
+// Str reads a uint16 length-prefixed string (copied out of the buffer).
+func (r *Cursor) Str() string {
+	n := int(r.U16())
 	if !r.need(n) {
 		return ""
 	}
@@ -312,7 +317,7 @@ func (r *reader) str() string {
 	return s
 }
 
-func (r *reader) finish() error {
+func (r *Cursor) finish() error {
 	if r.err != nil {
 		return r.err
 	}
@@ -321,37 +326,6 @@ func (r *reader) finish() error {
 	}
 	return nil
 }
-
-// --- entity / delta encoding -------------------------------------------------
-
-func putEntity(w *writer, e virtualworld.Entity) {
-	w.u32(uint32(e.ID))
-	w.u8(uint8(e.Kind))
-	w.i32(int32(e.Owner))
-	w.f64(e.X)
-	w.f64(e.Y)
-	w.f64(e.Facing)
-	w.u16(uint16(e.HP))
-	w.u8(e.State)
-	w.u32(e.Version)
-}
-
-func getEntity(r *reader) virtualworld.Entity {
-	return virtualworld.Entity{
-		ID:      virtualworld.EntityID(r.u32()),
-		Kind:    virtualworld.EntityKind(r.u8()),
-		Owner:   int(r.i32()),
-		X:       r.f64(),
-		Y:       r.f64(),
-		Facing:  r.f64(),
-		HP:      int16(r.u16()),
-		State:   r.u8(),
-		Version: r.u32(),
-	}
-}
-
-// EntityWireBytes is the encoded size of one entity (for Λ accounting).
-const EntityWireBytes = 4 + 1 + 4 + 8 + 8 + 8 + 2 + 1 + 4
 
 // --- messages ---------------------------------------------------------------
 
@@ -365,9 +339,10 @@ type SupernodeHello struct {
 	StreamAddr string
 }
 
-// Marshal encodes the message.
-func (m SupernodeHello) Marshal() []byte {
-	w := &writer{}
+// AppendTo appends the encoded message to buf and returns the extended
+// slice; with enough capacity it does not allocate.
+func (m SupernodeHello) AppendTo(buf []byte) []byte {
+	w := writer{buf: buf}
 	w.str(m.Name)
 	w.u16(uint16(m.Capacity))
 	w.str(m.StreamAddr)
@@ -376,9 +351,9 @@ func (m SupernodeHello) Marshal() []byte {
 
 // UnmarshalSupernodeHello decodes the message.
 func UnmarshalSupernodeHello(buf []byte) (SupernodeHello, error) {
-	r := &reader{buf: buf}
-	m := SupernodeHello{Name: r.str(), Capacity: int(r.u16())}
-	m.StreamAddr = r.str()
+	r := NewCursor(buf)
+	m := SupernodeHello{Name: r.Str(), Capacity: int(r.U16())}
+	m.StreamAddr = r.Str()
 	return m, r.finish()
 }
 
@@ -395,36 +370,25 @@ type SupernodeWelcome struct {
 	Snapshot virtualworld.Snapshot
 }
 
-// Marshal encodes the message.
-func (m SupernodeWelcome) Marshal() []byte {
-	w := &writer{}
+// AppendTo appends the encoded message to buf and returns the extended
+// slice; with enough capacity it does not allocate.
+func (m SupernodeWelcome) AppendTo(buf []byte) []byte {
+	w := writer{buf: buf}
 	w.u32(m.SupernodeID)
 	w.u64(m.Epoch)
 	w.str(m.StandbyAddr)
-	w.u64(m.Snapshot.Tick)
-	w.f64(m.Snapshot.Width)
-	w.f64(m.Snapshot.Height)
-	w.u32(uint32(len(m.Snapshot.Entities)))
-	for _, e := range m.Snapshot.Entities {
-		putEntity(w, e)
-	}
-	return w.buf
+	return AppendSnapshot(w.buf, &m.Snapshot)
 }
 
 // UnmarshalSupernodeWelcome decodes the message.
 func UnmarshalSupernodeWelcome(buf []byte) (SupernodeWelcome, error) {
-	r := &reader{buf: buf}
-	m := SupernodeWelcome{SupernodeID: r.u32(), Epoch: r.u64(), StandbyAddr: r.str()}
-	m.Snapshot.Tick = r.u64()
-	m.Snapshot.Width = r.f64()
-	m.Snapshot.Height = r.f64()
-	n := int(r.u32())
+	r := NewCursor(buf)
+	m := SupernodeWelcome{SupernodeID: r.U32(), Epoch: r.U64(), StandbyAddr: r.Str()}
+	n := r.SnapshotHeader(&m.Snapshot)
 	if n > MaxPayload/EntityWireBytes {
 		return m, ErrTooLarge
 	}
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Snapshot.Entities = append(m.Snapshot.Entities, getEntity(r))
-	}
+	m.Snapshot.Entities = r.Entities(m.Snapshot.Entities, n)
 	return m, r.finish()
 }
 
@@ -438,9 +402,10 @@ type PlayerJoin struct {
 	SpawnX, SpawnY float64
 }
 
-// Marshal encodes the message.
-func (m PlayerJoin) Marshal() []byte {
-	w := &writer{}
+// AppendTo appends the encoded message to buf and returns the extended
+// slice; with enough capacity it does not allocate.
+func (m PlayerJoin) AppendTo(buf []byte) []byte {
+	w := writer{buf: buf}
 	w.i32(m.PlayerID)
 	w.u8(m.GameID)
 	w.f64(m.SpawnX)
@@ -450,8 +415,8 @@ func (m PlayerJoin) Marshal() []byte {
 
 // UnmarshalPlayerJoin decodes the message.
 func UnmarshalPlayerJoin(buf []byte) (PlayerJoin, error) {
-	r := &reader{buf: buf}
-	m := PlayerJoin{PlayerID: r.i32(), GameID: r.u8(), SpawnX: r.f64(), SpawnY: r.f64()}
+	r := NewCursor(buf)
+	m := PlayerJoin{PlayerID: r.I32(), GameID: r.U8(), SpawnX: r.F64(), SpawnY: r.F64()}
 	return m, r.finish()
 }
 
@@ -481,13 +446,13 @@ func putCandidateInfo(w *writer, c CandidateInfo) {
 	w.f64(c.Score)
 }
 
-func getCandidateInfo(r *reader) CandidateInfo {
+func getCandidateInfo(r *Cursor) CandidateInfo {
 	return CandidateInfo{
-		Addr:          r.str(),
-		Load:          r.u16(),
-		Capacity:      r.u16(),
-		MeasuredRTTMs: r.f64(),
-		Score:         r.f64(),
+		Addr:          r.Str(),
+		Load:          r.U16(),
+		Capacity:      r.U16(),
+		MeasuredRTTMs: r.F64(),
+		Score:         r.F64(),
 	}
 }
 
@@ -515,9 +480,10 @@ type JoinReply struct {
 	Reason string
 }
 
-// Marshal encodes the message.
-func (m JoinReply) Marshal() []byte {
-	w := &writer{}
+// AppendTo appends the encoded message to buf and returns the extended
+// slice; with enough capacity it does not allocate.
+func (m JoinReply) AppendTo(buf []byte) []byte {
+	w := writer{buf: buf}
 	if m.OK {
 		w.u8(1)
 	} else {
@@ -527,7 +493,7 @@ func (m JoinReply) Marshal() []byte {
 	w.u64(m.Tick)
 	w.u16(uint16(len(m.Candidates)))
 	for _, c := range m.Candidates {
-		putCandidateInfo(w, c)
+		putCandidateInfo(&w, c)
 	}
 	w.str(m.CloudStreamAddr)
 	w.str(m.StandbyAddr)
@@ -535,17 +501,22 @@ func (m JoinReply) Marshal() []byte {
 	return w.buf
 }
 
+// Marshal returns AppendTo(nil). It stays for the cfbench stream-peek
+// test, which frames this reply from a pre-encoded payload; new code
+// frames with AppendMessage or WriteMessage.
+func (m JoinReply) Marshal() []byte { return m.AppendTo(nil) }
+
 // UnmarshalJoinReply decodes the message.
 func UnmarshalJoinReply(buf []byte) (JoinReply, error) {
-	r := &reader{buf: buf}
-	m := JoinReply{OK: r.u8() == 1, Epoch: r.u64(), Tick: r.u64()}
-	n := int(r.u16())
+	r := NewCursor(buf)
+	m := JoinReply{OK: r.U8() == 1, Epoch: r.U64(), Tick: r.U64()}
+	n := int(r.U16())
 	for i := 0; i < n && r.err == nil; i++ {
-		m.Candidates = append(m.Candidates, getCandidateInfo(r))
+		m.Candidates = append(m.Candidates, getCandidateInfo(&r))
 	}
-	m.CloudStreamAddr = r.str()
-	m.StandbyAddr = r.str()
-	m.Reason = r.str()
+	m.CloudStreamAddr = r.Str()
+	m.StandbyAddr = r.Str()
+	m.Reason = r.Str()
 	return m, r.finish()
 }
 
@@ -554,9 +525,6 @@ type ActionMsg struct {
 	// Action is the world action.
 	Action virtualworld.Action
 }
-
-// Marshal encodes the message.
-func (m ActionMsg) Marshal() []byte { return m.AppendTo(nil) }
 
 // AppendTo appends the encoded message to buf and returns the extended
 // slice; with enough capacity it does not allocate.
@@ -573,14 +541,14 @@ func (m ActionMsg) AppendTo(buf []byte) []byte {
 
 // UnmarshalActionMsg decodes the message.
 func UnmarshalActionMsg(buf []byte) (ActionMsg, error) {
-	r := &reader{buf: buf}
+	r := NewCursor(buf)
 	m := ActionMsg{Action: virtualworld.Action{
-		Player:       int(r.i32()),
-		Kind:         virtualworld.ActionKind(r.u8()),
-		TargetX:      r.f64(),
-		TargetY:      r.f64(),
-		TargetEntity: virtualworld.EntityID(r.u32()),
-		StateTag:     r.u8(),
+		Player:       int(r.I32()),
+		Kind:         virtualworld.ActionKind(r.U8()),
+		TargetX:      r.F64(),
+		TargetY:      r.F64(),
+		TargetEntity: virtualworld.EntityID(r.U32()),
+		StateTag:     r.U8(),
 	}}
 	return m, r.finish()
 }
@@ -597,72 +565,38 @@ type UpdateBatch struct {
 	Deltas []virtualworld.Delta
 }
 
-// Marshal encodes the message.
-func (m UpdateBatch) Marshal() []byte { return m.AppendTo(nil) }
-
 // AppendTo appends the encoded message to buf and returns the extended
 // slice; with enough capacity it does not allocate.
 func (m UpdateBatch) AppendTo(buf []byte) []byte {
 	w := writer{buf: buf}
 	w.u64(m.Epoch)
 	w.u64(m.Tick)
-	w.u32(uint32(len(m.Deltas)))
-	for _, d := range m.Deltas {
-		w.u32(uint32(d.ID))
-		if d.Removed {
-			w.u8(1)
-		} else {
-			w.u8(0)
-			putEntity(&w, d.Entity)
-		}
-	}
-	return w.buf
-}
-
-// UnmarshalUpdateBatch decodes the message.
-func UnmarshalUpdateBatch(buf []byte) (UpdateBatch, error) {
-	var m UpdateBatch
-	err := DecodeUpdateBatch(buf, &m)
-	return m, err
+	return AppendDeltas(w.buf, m.Deltas)
 }
 
 // DecodeUpdateBatch decodes into m, reusing m.Deltas' capacity — the
 // allocation-free decode for the supernode's per-tick apply loop. On error
 // m holds partially decoded data and must not be used.
 func DecodeUpdateBatch(buf []byte, m *UpdateBatch) error {
-	r := &reader{buf: buf}
-	m.Epoch = r.u64()
-	m.Tick = r.u64()
+	r := NewCursor(buf)
+	m.Epoch = r.U64()
+	m.Tick = r.U64()
 	m.Deltas = m.Deltas[:0]
-	n := int(r.u32())
+	n := int(r.U32())
 	if n > MaxPayload/5 {
 		return ErrTooLarge
 	}
-	for i := 0; i < n && r.err == nil; i++ {
-		id := virtualworld.EntityID(r.u32())
-		if r.u8() == 1 {
-			m.Deltas = append(m.Deltas, virtualworld.Delta{ID: id, Removed: true})
-		} else {
-			m.Deltas = append(m.Deltas, virtualworld.Delta{ID: id, Entity: getEntity(r)})
-		}
-	}
+	m.Deltas = r.Deltas(m.Deltas, n)
 	return r.finish()
 }
 
 // SizeBits returns the encoded size of the batch in bits (Λ accounting),
-// computed arithmetically — no allocation, no throwaway Marshal.
+// computed arithmetically — no allocation, no throwaway encode.
 func (m UpdateBatch) SizeBits() int { return m.EncodedSize() * 8 }
 
-// EncodedSize returns the exact Marshal()ed length in bytes.
+// EncodedSize returns the exact AppendTo length in bytes.
 func (m UpdateBatch) EncodedSize() int {
-	n := 8 + 8 + 4 // epoch + tick + delta count
-	for _, d := range m.Deltas {
-		n += 4 + 1 // entity ID + removed flag
-		if !d.Removed {
-			n += EntityWireBytes
-		}
-	}
-	return n
+	return 8 + 8 + DeltasSize(m.Deltas) // epoch + tick + delta list
 }
 
 // PlayerAttach attaches a player's video session to a supernode.
@@ -673,9 +607,10 @@ type PlayerAttach struct {
 	QualityLevel uint8
 }
 
-// Marshal encodes the message.
-func (m PlayerAttach) Marshal() []byte {
-	w := &writer{}
+// AppendTo appends the encoded message to buf and returns the extended
+// slice; with enough capacity it does not allocate.
+func (m PlayerAttach) AppendTo(buf []byte) []byte {
+	w := writer{buf: buf}
 	w.i32(m.PlayerID)
 	w.u8(m.QualityLevel)
 	return w.buf
@@ -683,8 +618,8 @@ func (m PlayerAttach) Marshal() []byte {
 
 // UnmarshalPlayerAttach decodes the message.
 func UnmarshalPlayerAttach(buf []byte) (PlayerAttach, error) {
-	r := &reader{buf: buf}
-	m := PlayerAttach{PlayerID: r.i32(), QualityLevel: r.u8()}
+	r := NewCursor(buf)
+	m := PlayerAttach{PlayerID: r.I32(), QualityLevel: r.U8()}
 	return m, r.finish()
 }
 
@@ -697,9 +632,10 @@ type AttachReply struct {
 	Reason string
 }
 
-// Marshal encodes the message.
-func (m AttachReply) Marshal() []byte {
-	w := &writer{}
+// AppendTo appends the encoded message to buf and returns the extended
+// slice; with enough capacity it does not allocate.
+func (m AttachReply) AppendTo(buf []byte) []byte {
+	w := writer{buf: buf}
 	if m.OK {
 		w.u8(1)
 	} else {
@@ -709,11 +645,16 @@ func (m AttachReply) Marshal() []byte {
 	return w.buf
 }
 
+// Marshal returns AppendTo(nil). It stays for the cfbench stream-peek
+// test, which frames this reply from a pre-encoded payload; new code
+// frames with AppendMessage or WriteMessage.
+func (m AttachReply) Marshal() []byte { return m.AppendTo(nil) }
+
 // UnmarshalAttachReply decodes the message.
 func UnmarshalAttachReply(buf []byte) (AttachReply, error) {
-	r := &reader{buf: buf}
-	m := AttachReply{OK: r.u8() == 1}
-	m.Reason = r.str()
+	r := NewCursor(buf)
+	m := AttachReply{OK: r.U8() == 1}
+	m.Reason = r.Str()
 	return m, r.finish()
 }
 
@@ -723,17 +664,14 @@ type RateChange struct {
 	QualityLevel uint8
 }
 
-// Marshal encodes the message.
-func (m RateChange) Marshal() []byte { return []byte{m.QualityLevel} }
-
 // AppendTo appends the encoded message to buf and returns the extended
 // slice; with enough capacity it does not allocate.
 func (m RateChange) AppendTo(buf []byte) []byte { return append(buf, m.QualityLevel) }
 
 // UnmarshalRateChange decodes the message.
 func UnmarshalRateChange(buf []byte) (RateChange, error) {
-	r := &reader{buf: buf}
-	m := RateChange{QualityLevel: r.u8()}
+	r := NewCursor(buf)
+	m := RateChange{QualityLevel: r.U8()}
 	return m, r.finish()
 }
 
@@ -742,9 +680,6 @@ type Heartbeat struct {
 	// Seq is the monotonically increasing heartbeat sequence number.
 	Seq uint32
 }
-
-// Marshal encodes the message.
-func (m Heartbeat) Marshal() []byte { return m.AppendTo(nil) }
 
 // AppendTo appends the encoded message to buf and returns the extended
 // slice; with enough capacity it does not allocate.
@@ -756,8 +691,8 @@ func (m Heartbeat) AppendTo(buf []byte) []byte {
 
 // UnmarshalHeartbeat decodes the message.
 func UnmarshalHeartbeat(buf []byte) (Heartbeat, error) {
-	r := &reader{buf: buf}
-	m := Heartbeat{Seq: r.u32()}
+	r := NewCursor(buf)
+	m := Heartbeat{Seq: r.U32()}
 	return m, r.finish()
 }
 
@@ -772,9 +707,6 @@ type HeartbeatAck struct {
 	Attached uint16
 }
 
-// Marshal encodes the message.
-func (m HeartbeatAck) Marshal() []byte { return m.AppendTo(nil) }
-
 // AppendTo appends the encoded message to buf and returns the extended
 // slice; with enough capacity it does not allocate.
 func (m HeartbeatAck) AppendTo(buf []byte) []byte {
@@ -787,8 +719,8 @@ func (m HeartbeatAck) AppendTo(buf []byte) []byte {
 
 // UnmarshalHeartbeatAck decodes the message.
 func UnmarshalHeartbeatAck(buf []byte) (HeartbeatAck, error) {
-	r := &reader{buf: buf}
-	m := HeartbeatAck{Seq: r.u32(), ReplicaTick: r.u64(), Attached: r.u16()}
+	r := NewCursor(buf)
+	m := HeartbeatAck{Seq: r.U32(), ReplicaTick: r.U64(), Attached: r.U16()}
 	return m, r.finish()
 }
 
@@ -806,9 +738,6 @@ type CandidateUpdate struct {
 	StandbyAddr string
 }
 
-// Marshal encodes the message.
-func (m CandidateUpdate) Marshal() []byte { return m.AppendTo(nil) }
-
 // AppendTo appends the encoded message to buf and returns the extended
 // slice; with enough capacity it does not allocate.
 func (m CandidateUpdate) AppendTo(buf []byte) []byte {
@@ -824,14 +753,14 @@ func (m CandidateUpdate) AppendTo(buf []byte) []byte {
 
 // UnmarshalCandidateUpdate decodes the message.
 func UnmarshalCandidateUpdate(buf []byte) (CandidateUpdate, error) {
-	r := &reader{buf: buf}
+	r := NewCursor(buf)
 	var m CandidateUpdate
-	n := int(r.u16())
+	n := int(r.U16())
 	for i := 0; i < n && r.err == nil; i++ {
-		m.Candidates = append(m.Candidates, getCandidateInfo(r))
+		m.Candidates = append(m.Candidates, getCandidateInfo(&r))
 	}
-	m.CloudStreamAddr = r.str()
-	m.StandbyAddr = r.str()
+	m.CloudStreamAddr = r.Str()
+	m.StandbyAddr = r.Str()
 	return m, r.finish()
 }
 
@@ -856,9 +785,6 @@ type QoEReport struct {
 	Fallback bool
 }
 
-// Marshal encodes the message.
-func (m QoEReport) Marshal() []byte { return m.AppendTo(nil) }
-
 // AppendTo appends the encoded message to buf and returns the extended
 // slice; with enough capacity it does not allocate.
 func (m QoEReport) AppendTo(buf []byte) []byte {
@@ -879,9 +805,9 @@ func (m QoEReport) AppendTo(buf []byte) []byte {
 
 // UnmarshalQoEReport decodes the message.
 func UnmarshalQoEReport(buf []byte) (QoEReport, error) {
-	r := &reader{buf: buf}
-	m := QoEReport{PlayerID: r.i32(), Addr: r.str(), Rating: r.f64()}
-	flags := r.u8()
+	r := NewCursor(buf)
+	m := QoEReport{PlayerID: r.I32(), Addr: r.Str(), Rating: r.F64()}
+	flags := r.U8()
 	m.Stalled = flags&1 != 0
 	m.Fallback = flags&2 != 0
 	return m, r.finish()
@@ -893,17 +819,18 @@ type ProbeReply struct {
 	Available int
 }
 
-// Marshal encodes the message.
-func (m ProbeReply) Marshal() []byte {
-	w := &writer{}
+// AppendTo appends the encoded message to buf and returns the extended
+// slice; with enough capacity it does not allocate.
+func (m ProbeReply) AppendTo(buf []byte) []byte {
+	w := writer{buf: buf}
 	w.u16(uint16(m.Available))
 	return w.buf
 }
 
 // UnmarshalProbeReply decodes the message.
 func UnmarshalProbeReply(buf []byte) (ProbeReply, error) {
-	r := &reader{buf: buf}
-	m := ProbeReply{Available: int(r.u16())}
+	r := NewCursor(buf)
+	m := ProbeReply{Available: int(r.U16())}
 	return m, r.finish()
 }
 
@@ -917,17 +844,18 @@ type StandbyHello struct {
 	Addr string
 }
 
-// Marshal encodes the message.
-func (m StandbyHello) Marshal() []byte {
-	w := &writer{}
+// AppendTo appends the encoded message to buf and returns the extended
+// slice; with enough capacity it does not allocate.
+func (m StandbyHello) AppendTo(buf []byte) []byte {
+	w := writer{buf: buf}
 	w.str(m.Addr)
 	return w.buf
 }
 
 // UnmarshalStandbyHello decodes the message.
 func UnmarshalStandbyHello(buf []byte) (StandbyHello, error) {
-	r := &reader{buf: buf}
-	m := StandbyHello{Addr: r.str()}
+	r := NewCursor(buf)
+	m := StandbyHello{Addr: r.Str()}
 	return m, r.finish()
 }
 
@@ -962,9 +890,10 @@ type Resume struct {
 	StreamAddr string
 }
 
-// Marshal encodes the message.
-func (m Resume) Marshal() []byte {
-	w := &writer{}
+// AppendTo appends the encoded message to buf and returns the extended
+// slice; with enough capacity it does not allocate.
+func (m Resume) AppendTo(buf []byte) []byte {
+	w := writer{buf: buf}
 	w.u8(m.Kind)
 	w.i32(m.PlayerID)
 	w.u64(m.Epoch)
@@ -977,11 +906,11 @@ func (m Resume) Marshal() []byte {
 
 // UnmarshalResume decodes the message.
 func UnmarshalResume(buf []byte) (Resume, error) {
-	r := &reader{buf: buf}
-	m := Resume{Kind: r.u8(), PlayerID: r.i32(), Epoch: r.u64(), Tick: r.u64()}
-	m.Name = r.str()
-	m.Capacity = int(r.u16())
-	m.StreamAddr = r.str()
+	r := NewCursor(buf)
+	m := Resume{Kind: r.U8(), PlayerID: r.I32(), Epoch: r.U64(), Tick: r.U64()}
+	m.Name = r.Str()
+	m.Capacity = int(r.U16())
+	m.StreamAddr = r.Str()
 	return m, r.finish()
 }
 
@@ -1018,9 +947,10 @@ type ResumeReply struct {
 	Reason string
 }
 
-// Marshal encodes the message.
-func (m ResumeReply) Marshal() []byte {
-	w := &writer{}
+// AppendTo appends the encoded message to buf and returns the extended
+// slice; with enough capacity it does not allocate.
+func (m ResumeReply) AppendTo(buf []byte) []byte {
+	w := writer{buf: buf}
 	var flags uint8
 	if m.OK {
 		flags |= 1
@@ -1036,17 +966,11 @@ func (m ResumeReply) Marshal() []byte {
 	w.u64(m.Tick)
 	w.u32(m.SupernodeID)
 	if m.HasSnapshot {
-		w.u64(m.Snapshot.Tick)
-		w.f64(m.Snapshot.Width)
-		w.f64(m.Snapshot.Height)
-		w.u32(uint32(len(m.Snapshot.Entities)))
-		for _, e := range m.Snapshot.Entities {
-			putEntity(w, e)
-		}
+		w.buf = AppendSnapshot(w.buf, &m.Snapshot)
 	}
 	w.u16(uint16(len(m.Candidates)))
 	for _, c := range m.Candidates {
-		putCandidateInfo(w, c)
+		putCandidateInfo(&w, c)
 	}
 	w.str(m.CloudStreamAddr)
 	w.str(m.StandbyAddr)
@@ -1056,34 +980,29 @@ func (m ResumeReply) Marshal() []byte {
 
 // UnmarshalResumeReply decodes the message.
 func UnmarshalResumeReply(buf []byte) (ResumeReply, error) {
-	r := &reader{buf: buf}
+	r := NewCursor(buf)
 	var m ResumeReply
-	flags := r.u8()
+	flags := r.U8()
 	m.OK = flags&1 != 0
 	m.Discard = flags&2 != 0
 	m.HasSnapshot = flags&4 != 0
-	m.Epoch = r.u64()
-	m.Tick = r.u64()
-	m.SupernodeID = r.u32()
+	m.Epoch = r.U64()
+	m.Tick = r.U64()
+	m.SupernodeID = r.U32()
 	if m.HasSnapshot {
-		m.Snapshot.Tick = r.u64()
-		m.Snapshot.Width = r.f64()
-		m.Snapshot.Height = r.f64()
-		n := int(r.u32())
+		n := r.SnapshotHeader(&m.Snapshot)
 		if n > MaxPayload/EntityWireBytes {
 			return m, ErrTooLarge
 		}
-		for i := 0; i < n && r.err == nil; i++ {
-			m.Snapshot.Entities = append(m.Snapshot.Entities, getEntity(r))
-		}
+		m.Snapshot.Entities = r.Entities(m.Snapshot.Entities, n)
 	}
-	nc := int(r.u16())
+	nc := int(r.U16())
 	for i := 0; i < nc && r.err == nil; i++ {
-		m.Candidates = append(m.Candidates, getCandidateInfo(r))
+		m.Candidates = append(m.Candidates, getCandidateInfo(&r))
 	}
-	m.CloudStreamAddr = r.str()
-	m.StandbyAddr = r.str()
-	m.Reason = r.str()
+	m.CloudStreamAddr = r.Str()
+	m.StandbyAddr = r.Str()
+	m.Reason = r.Str()
 	return m, r.finish()
 }
 
@@ -1094,17 +1013,18 @@ type DatagramRequest struct {
 	PlayerID int32
 }
 
-// Marshal encodes the message.
-func (m DatagramRequest) Marshal() []byte {
-	w := &writer{}
+// AppendTo appends the encoded message to buf and returns the extended
+// slice; with enough capacity it does not allocate.
+func (m DatagramRequest) AppendTo(buf []byte) []byte {
+	w := writer{buf: buf}
 	w.i32(m.PlayerID)
 	return w.buf
 }
 
 // UnmarshalDatagramRequest decodes the message.
 func UnmarshalDatagramRequest(buf []byte) (DatagramRequest, error) {
-	r := &reader{buf: buf}
-	m := DatagramRequest{PlayerID: r.i32()}
+	r := NewCursor(buf)
+	m := DatagramRequest{PlayerID: r.I32()}
 	return m, r.finish()
 }
 
@@ -1125,9 +1045,10 @@ type DatagramReply struct {
 	Reason string
 }
 
-// Marshal encodes the message.
-func (m DatagramReply) Marshal() []byte {
-	w := &writer{}
+// AppendTo appends the encoded message to buf and returns the extended
+// slice; with enough capacity it does not allocate.
+func (m DatagramReply) AppendTo(buf []byte) []byte {
+	w := writer{buf: buf}
 	if m.OK {
 		w.u8(1)
 	} else {
@@ -1142,11 +1063,11 @@ func (m DatagramReply) Marshal() []byte {
 
 // UnmarshalDatagramReply decodes the message.
 func UnmarshalDatagramReply(buf []byte) (DatagramReply, error) {
-	r := &reader{buf: buf}
-	m := DatagramReply{OK: r.u8() == 1}
-	m.Addr = r.str()
-	m.Token = r.u64()
-	m.Epoch = r.u64()
-	m.Reason = r.str()
+	r := NewCursor(buf)
+	m := DatagramReply{OK: r.U8() == 1}
+	m.Addr = r.Str()
+	m.Token = r.U64()
+	m.Epoch = r.U64()
+	m.Reason = r.Str()
 	return m, r.finish()
 }

@@ -10,13 +10,18 @@ import (
 	"cloudfog/internal/virtualworld"
 )
 
+// rawPayload is an already-encoded payload, framed as is.
+type rawPayload []byte
+
+func (p rawPayload) AppendTo(buf []byte) []byte { return append(buf, p...) }
+
 func TestFramingRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte{1, 2, 3, 4, 5}
-	if err := WriteMessage(&buf, MsgAction, payload); err != nil {
+	if err := WriteMessage(&buf, MsgAction, rawPayload(payload)); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := ReadMessage(&buf)
+	typ, got, err := ReadMessageInto(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +35,10 @@ func TestFramingEmptyPayload(t *testing.T) {
 	if err := WriteMessage(&buf, MsgBye, nil); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := ReadMessage(&buf)
+	if want := []byte{0, 0, 0, 0, byte(MsgBye)}; !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("empty frame %x, want %x", buf.Bytes(), want)
+	}
+	typ, got, err := ReadMessageInto(&buf, nil)
 	if err != nil || typ != MsgBye || len(got) != 0 {
 		t.Errorf("empty round trip: %v %v %v", typ, got, err)
 	}
@@ -39,37 +47,39 @@ func TestFramingEmptyPayload(t *testing.T) {
 func TestFramingMultipleMessages(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 5; i++ {
-		if err := WriteMessage(&buf, MsgProbe, []byte{byte(i)}); err != nil {
+		if err := WriteMessage(&buf, MsgProbe, rawPayload{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	var got []byte
+	var err error
 	for i := 0; i < 5; i++ {
-		_, got, err := ReadMessage(&buf)
+		_, got, err = ReadMessageInto(&buf, got)
 		if err != nil || got[0] != byte(i) {
 			t.Fatalf("message %d: %v %v", i, got, err)
 		}
 	}
-	if _, _, err := ReadMessage(&buf); !errors.Is(err, io.EOF) {
+	if _, _, err := ReadMessageInto(&buf, got); !errors.Is(err, io.EOF) {
 		t.Errorf("post-stream read err = %v", err)
 	}
 }
 
 func TestFramingRejectsOversize(t *testing.T) {
-	if err := WriteMessage(io.Discard, MsgAction, make([]byte, MaxPayload+1)); !errors.Is(err, ErrTooLarge) {
+	if err := WriteMessage(io.Discard, MsgAction, rawPayload(make([]byte, MaxPayload+1))); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversize write err = %v", err)
 	}
 	// A hostile length prefix must be rejected without allocating.
 	hostile := []byte{0xFF, 0xFF, 0xFF, 0xFF, byte(MsgAction)}
-	if _, _, err := ReadMessage(bytes.NewReader(hostile)); !errors.Is(err, ErrTooLarge) {
+	if _, _, err := ReadMessageInto(bytes.NewReader(hostile), nil); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("hostile length err = %v", err)
 	}
 }
 
 func TestFramingTruncatedStream(t *testing.T) {
 	var buf bytes.Buffer
-	WriteMessage(&buf, MsgAction, []byte{1, 2, 3})
+	WriteMessage(&buf, MsgAction, rawPayload{1, 2, 3})
 	trunc := buf.Bytes()[:buf.Len()-1]
-	if _, _, err := ReadMessage(bytes.NewReader(trunc)); err == nil {
+	if _, _, err := ReadMessageInto(bytes.NewReader(trunc), nil); err == nil {
 		t.Error("truncated stream accepted")
 	}
 }
@@ -87,7 +97,7 @@ func TestMsgTypeString(t *testing.T) {
 
 func TestSupernodeHelloRoundTrip(t *testing.T) {
 	m := SupernodeHello{Name: "fog-3", Capacity: 17, StreamAddr: "127.0.0.1:9000"}
-	got, err := UnmarshalSupernodeHello(m.Marshal())
+	got, err := UnmarshalSupernodeHello(m.AppendTo(nil))
 	if err != nil || got != m {
 		t.Errorf("round trip: %+v, %v", got, err)
 	}
@@ -99,7 +109,7 @@ func TestSupernodeWelcomeRoundTrip(t *testing.T) {
 	w.SpawnNPC(100, 150)
 	w.SpawnItem(200, 250)
 	m := SupernodeWelcome{SupernodeID: 42, Snapshot: w.Snapshot()}
-	got, err := UnmarshalSupernodeWelcome(m.Marshal())
+	got, err := UnmarshalSupernodeWelcome(m.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +121,7 @@ func TestSupernodeWelcomeRoundTrip(t *testing.T) {
 
 func TestPlayerJoinRoundTrip(t *testing.T) {
 	m := PlayerJoin{PlayerID: -7, GameID: 3, SpawnX: 12.5, SpawnY: 700.25}
-	got, err := UnmarshalPlayerJoin(m.Marshal())
+	got, err := UnmarshalPlayerJoin(m.AppendTo(nil))
 	if err != nil || got != m {
 		t.Errorf("round trip: %+v, %v", got, err)
 	}
@@ -123,7 +133,7 @@ func TestJoinReplyRoundTrip(t *testing.T) {
 		{Addr: "b:2", Load: 0, Capacity: 8, MeasuredRTTMs: 12.5, Score: 0.5},
 		{Addr: "c:3"},
 	}}
-	got, err := UnmarshalJoinReply(m.Marshal())
+	got, err := UnmarshalJoinReply(m.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +142,7 @@ func TestJoinReplyRoundTrip(t *testing.T) {
 		t.Errorf("round trip: %+v", got)
 	}
 	deny := JoinReply{OK: false, Reason: "full"}
-	got, err = UnmarshalJoinReply(deny.Marshal())
+	got, err = UnmarshalJoinReply(deny.AppendTo(nil))
 	if err != nil || got.OK || got.Reason != "full" {
 		t.Errorf("deny round trip: %+v, %v", got, err)
 	}
@@ -148,7 +158,7 @@ func TestActionRoundTripProperty(t *testing.T) {
 			TargetEntity: virtualworld.EntityID(target),
 			StateTag:     tag,
 		}}
-		got, err := UnmarshalActionMsg(m.Marshal())
+		got, err := UnmarshalActionMsg(m.AppendTo(nil))
 		return err == nil && got == m
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -170,8 +180,8 @@ func TestUpdateBatchRoundTrip(t *testing.T) {
 			}},
 		},
 	}
-	got, err := UnmarshalUpdateBatch(m.Marshal())
-	if err != nil {
+	var got UpdateBatch
+	if err := DecodeUpdateBatch(m.AppendTo(nil), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Tick != 99 || len(got.Deltas) != 3 {
@@ -182,14 +192,15 @@ func TestUpdateBatchRoundTrip(t *testing.T) {
 			t.Errorf("delta %d: %+v vs %+v", i, got.Deltas[i], m.Deltas[i])
 		}
 	}
-	if m.SizeBits() != len(m.Marshal())*8 {
+	if m.SizeBits() != len(m.AppendTo(nil))*8 {
 		t.Error("SizeBits mismatch")
 	}
 }
 
 func TestUpdateBatchEmpty(t *testing.T) {
 	m := UpdateBatch{Tick: 3}
-	got, err := UnmarshalUpdateBatch(m.Marshal())
+	var got UpdateBatch
+	err := DecodeUpdateBatch(m.AppendTo(nil), &got)
 	if err != nil || got.Tick != 3 || len(got.Deltas) != 0 {
 		t.Errorf("empty batch: %+v, %v", got, err)
 	}
@@ -197,12 +208,12 @@ func TestUpdateBatchEmpty(t *testing.T) {
 
 func TestPlayerAttachAndReplyRoundTrip(t *testing.T) {
 	a := PlayerAttach{PlayerID: 12, QualityLevel: 4}
-	gotA, err := UnmarshalPlayerAttach(a.Marshal())
+	gotA, err := UnmarshalPlayerAttach(a.AppendTo(nil))
 	if err != nil || gotA != a {
 		t.Errorf("attach: %+v, %v", gotA, err)
 	}
 	r := AttachReply{OK: false, Reason: "at capacity"}
-	gotR, err := UnmarshalAttachReply(r.Marshal())
+	gotR, err := UnmarshalAttachReply(r.AppendTo(nil))
 	if err != nil || gotR != r {
 		t.Errorf("reply: %+v, %v", gotR, err)
 	}
@@ -210,7 +221,7 @@ func TestPlayerAttachAndReplyRoundTrip(t *testing.T) {
 
 func TestRateChangeRoundTrip(t *testing.T) {
 	m := RateChange{QualityLevel: 2}
-	got, err := UnmarshalRateChange(m.Marshal())
+	got, err := UnmarshalRateChange(m.AppendTo(nil))
 	if err != nil || got != m {
 		t.Errorf("round trip: %+v, %v", got, err)
 	}
@@ -218,7 +229,7 @@ func TestRateChangeRoundTrip(t *testing.T) {
 
 func TestProbeReplyRoundTrip(t *testing.T) {
 	m := ProbeReply{Available: 9}
-	got, err := UnmarshalProbeReply(m.Marshal())
+	got, err := UnmarshalProbeReply(m.AppendTo(nil))
 	if err != nil || got != m {
 		t.Errorf("round trip: %+v, %v", got, err)
 	}
@@ -226,12 +237,12 @@ func TestProbeReplyRoundTrip(t *testing.T) {
 
 func TestHeartbeatRoundTrip(t *testing.T) {
 	m := Heartbeat{Seq: 77}
-	got, err := UnmarshalHeartbeat(m.Marshal())
+	got, err := UnmarshalHeartbeat(m.AppendTo(nil))
 	if err != nil || got != m {
 		t.Errorf("round trip: %+v, %v", got, err)
 	}
 	a := HeartbeatAck{Seq: 77, ReplicaTick: 123456, Attached: 6}
-	gotA, err := UnmarshalHeartbeatAck(a.Marshal())
+	gotA, err := UnmarshalHeartbeatAck(a.AppendTo(nil))
 	if err != nil || gotA != a {
 		t.Errorf("ack round trip: %+v, %v", gotA, err)
 	}
@@ -245,7 +256,7 @@ func TestCandidateUpdateRoundTrip(t *testing.T) {
 		},
 		CloudStreamAddr: "10.0.0.9:7000",
 	}
-	got, err := UnmarshalCandidateUpdate(m.Marshal())
+	got, err := UnmarshalCandidateUpdate(m.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +266,7 @@ func TestCandidateUpdateRoundTrip(t *testing.T) {
 	}
 	// An empty ladder (all supernodes gone) still round-trips.
 	empty := CandidateUpdate{CloudStreamAddr: "c:1"}
-	got, err = UnmarshalCandidateUpdate(empty.Marshal())
+	got, err = UnmarshalCandidateUpdate(empty.AppendTo(nil))
 	if err != nil || len(got.Candidates) != 0 || got.CloudStreamAddr != "c:1" {
 		t.Errorf("empty round trip: %+v, %v", got, err)
 	}
@@ -267,7 +278,7 @@ func TestQoEReportRoundTrip(t *testing.T) {
 		{PlayerID: -2, Addr: "f:1", Rating: 0, Stalled: true},
 		{PlayerID: 9, Addr: "f:2", Rating: 0.25, Stalled: true, Fallback: true},
 	} {
-		got, err := UnmarshalQoEReport(m.Marshal())
+		got, err := UnmarshalQoEReport(m.AppendTo(nil))
 		if err != nil || got != m {
 			t.Errorf("round trip: %+v -> %+v, %v", m, got, err)
 		}
@@ -281,7 +292,8 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if _, err := UnmarshalPlayerJoin([]byte{1, 2}); err == nil {
 		t.Error("short join accepted")
 	}
-	if _, err := UnmarshalUpdateBatch([]byte{0}); err == nil {
+	var batch UpdateBatch
+	if err := DecodeUpdateBatch([]byte{0}, &batch); err == nil {
 		t.Error("short batch accepted")
 	}
 	if _, err := UnmarshalActionMsg(nil); err == nil {
@@ -289,22 +301,20 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 	// Trailing bytes are an error, not silently ignored.
 	m := RateChange{QualityLevel: 1}
-	if _, err := UnmarshalRateChange(append(m.Marshal(), 0xEE)); err == nil {
+	if _, err := UnmarshalRateChange(append(m.AppendTo(nil), 0xEE)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 	// A batch claiming absurdly many deltas must fail fast. The count
 	// field sits after the epoch and tick words.
-	huge := UpdateBatch{Tick: 1}.Marshal()
+	huge := UpdateBatch{Tick: 1}.AppendTo(nil)
 	huge[16], huge[17], huge[18], huge[19] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, err := UnmarshalUpdateBatch(huge); err == nil {
+	if err := DecodeUpdateBatch(huge, &batch); err == nil {
 		t.Error("hostile delta count accepted")
 	}
 }
 
 func TestEntityWireBytesAccurate(t *testing.T) {
-	w := &writer{}
-	putEntity(w, virtualworld.Entity{})
-	if len(w.buf) != EntityWireBytes {
-		t.Errorf("EntityWireBytes = %d, actual %d", EntityWireBytes, len(w.buf))
+	if n := len(putEntity(nil, &virtualworld.Entity{})); n != EntityWireBytes {
+		t.Errorf("EntityWireBytes = %d, actual %d", EntityWireBytes, n)
 	}
 }

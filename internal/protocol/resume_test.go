@@ -8,7 +8,7 @@ import (
 
 func TestStandbyHelloRoundTrip(t *testing.T) {
 	m := StandbyHello{Addr: "127.0.0.1:9200"}
-	got, err := UnmarshalStandbyHello(m.Marshal())
+	got, err := UnmarshalStandbyHello(m.AppendTo(nil))
 	if err != nil || got != m {
 		t.Errorf("round trip: %+v, %v", got, err)
 	}
@@ -22,7 +22,7 @@ func TestResumeRoundTrip(t *testing.T) {
 		{Kind: ResumePlayer, PlayerID: 42, Epoch: 3, Tick: 9999},
 		{Kind: ResumeSupernode, Epoch: 1, Tick: 17, Name: "fog-2", Capacity: 12, StreamAddr: "127.0.0.1:9001"},
 	} {
-		got, err := UnmarshalResume(m.Marshal())
+		got, err := UnmarshalResume(m.AppendTo(nil))
 		if err != nil || got != m {
 			t.Errorf("round trip: %+v -> %+v, %v", m, got, err)
 		}
@@ -42,7 +42,7 @@ func TestResumeReplyRoundTrip(t *testing.T) {
 		HasSnapshot: true, Snapshot: w.Snapshot(),
 		CloudStreamAddr: "127.0.0.1:9100", StandbyAddr: "127.0.0.1:9200",
 	}
-	got, err := UnmarshalResumeReply(sn.Marshal())
+	got, err := UnmarshalResumeReply(sn.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestResumeReplyRoundTrip(t *testing.T) {
 		},
 		CloudStreamAddr: "127.0.0.1:9100",
 	}
-	got, err = UnmarshalResumeReply(pl.Marshal())
+	got, err = UnmarshalResumeReply(pl.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestResumeReplyRoundTrip(t *testing.T) {
 	}
 
 	refuse := ResumeReply{Reason: "unknown session"}
-	got, err = UnmarshalResumeReply(refuse.Marshal())
+	got, err = UnmarshalResumeReply(refuse.AppendTo(nil))
 	if err != nil || got.OK || got.Reason != "unknown session" {
 		t.Errorf("refusal round trip: %+v, %v", got, err)
 	}
@@ -85,28 +85,29 @@ func TestResumeReplyRoundTrip(t *testing.T) {
 // addresses on ladder refreshes and welcomes.
 func TestEpochStamps(t *testing.T) {
 	jr := JoinReply{OK: true, Epoch: 5, Tick: 1234, CloudStreamAddr: "c:1", StandbyAddr: "s:2"}
-	got, err := UnmarshalJoinReply(jr.Marshal())
+	got, err := UnmarshalJoinReply(jr.AppendTo(nil))
 	if err != nil || got.Epoch != 5 || got.Tick != 1234 || got.StandbyAddr != "s:2" {
 		t.Errorf("join reply stamps: %+v, %v", got, err)
 	}
 
 	ub := UpdateBatch{Epoch: 9, Tick: 77}
-	gb, err := UnmarshalUpdateBatch(ub.Marshal())
+	var gb UpdateBatch
+	err = DecodeUpdateBatch(ub.AppendTo(nil), &gb)
 	if err != nil || gb.Epoch != 9 || gb.Tick != 77 {
 		t.Errorf("update batch stamps: %+v, %v", gb, err)
 	}
-	if ub.EncodedSize() != len(ub.Marshal()) {
+	if ub.EncodedSize() != len(ub.AppendTo(nil)) {
 		t.Error("EncodedSize out of sync with encoding")
 	}
 
 	sw := SupernodeWelcome{SupernodeID: 3, Epoch: 4, StandbyAddr: "s:9"}
-	gw, err := UnmarshalSupernodeWelcome(sw.Marshal())
+	gw, err := UnmarshalSupernodeWelcome(sw.AppendTo(nil))
 	if err != nil || gw.Epoch != 4 || gw.StandbyAddr != "s:9" {
 		t.Errorf("welcome stamps: %+v, %v", gw, err)
 	}
 
 	cu := CandidateUpdate{CloudStreamAddr: "c:1", StandbyAddr: "s:2"}
-	gc, err := UnmarshalCandidateUpdate(cu.Marshal())
+	gc, err := UnmarshalCandidateUpdate(cu.AppendTo(nil))
 	if err != nil || gc.StandbyAddr != "s:2" {
 		t.Errorf("candidate update stamps: %+v, %v", gc, err)
 	}

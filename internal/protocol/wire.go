@@ -1,21 +1,18 @@
-// Zero-allocation wire path: append-style framing into caller-owned
-// buffers and a frame reader that reuses one growable buffer per
-// connection.
-//
-// The classic WriteMessage/ReadMessage pair costs two Write syscalls plus a
-// fresh header and payload allocation per message. At the prototype's
-// rates — 30 fps × players on the fog tier, one update batch per supernode
-// per tick on the cloud — that overhead IS the throughput ceiling, so the
-// hot paths use this file instead:
+// The framing path: every message is encoded by its AppendTo and framed
+// by AppendMessage, header and payload in one buffer, flushed with one
+// Write. The per-tick and per-frame paths reuse a buffer:
 //
 //	buf = buf[:0]
 //	buf, err = AppendMessage(buf, MsgVideoFrame, frame) // header + payload
 //	conn.Write(buf)                                     // one syscall
 //
-// and on the receive side:
+// and the one-shot control messages call WriteMessage, which frames into
+// a fresh slice the same way. Every read goes through ReadMessageInto:
 //
 //	fr := NewFrameReader(conn)
 //	typ, payload, err := fr.Next() // payload valid until the next call
+//
+// or, for a single handshake reply, ReadMessageInto(conn, nil).
 //
 // Buffer ownership rules (see DESIGN.md §10):
 //
@@ -38,9 +35,8 @@ import (
 // (uint32 payload length + uint8 message type).
 const HeaderLen = headerLen
 
-// Appender is a message with an append-style encoder. All hot-path
-// messages (UpdateBatch, Heartbeat/Ack, ActionMsg, CandidateUpdate,
-// QoEReport, RateChange) implement it, as does videocodec.EncodedFrame.
+// Appender is a message with an append-style encoder. Every message in
+// this package implements it, as does videocodec.EncodedFrame.
 type Appender interface {
 	// AppendTo appends the encoded message to buf and returns the
 	// extended slice.
@@ -61,11 +57,14 @@ func AppendFrame(buf []byte, t MsgType, payload []byte) ([]byte, error) {
 
 // AppendMessage frames a message directly into buf: it reserves the
 // header, encodes the payload in place with m.AppendTo, and patches the
-// length — no intermediate payload slice at all.
+// length — no intermediate payload slice at all. A nil m frames an empty
+// payload.
 func AppendMessage(buf []byte, t MsgType, m Appender) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, byte(t))
-	buf = m.AppendTo(buf)
+	if m != nil {
+		buf = m.AppendTo(buf)
+	}
 	n := len(buf) - start - headerLen
 	if n > MaxPayload {
 		return buf[:start], ErrTooLarge

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -27,72 +28,7 @@ func testBatch(n int) UpdateBatch {
 	return batch
 }
 
-// TestAppendToMatchesMarshal pins the append encoders to the Marshal wire
-// format, byte for byte.
-func TestAppendToMatchesMarshal(t *testing.T) {
-	batch := testBatch(25)
-	for name, pair := range map[string][2][]byte{
-		"update-batch":  {batch.Marshal(), batch.AppendTo(nil)},
-		"heartbeat":     {Heartbeat{Seq: 9}.Marshal(), Heartbeat{Seq: 9}.AppendTo(nil)},
-		"heartbeat-ack": {HeartbeatAck{Seq: 9, ReplicaTick: 77, Attached: 3}.Marshal(), HeartbeatAck{Seq: 9, ReplicaTick: 77, Attached: 3}.AppendTo(nil)},
-		"action": {
-			ActionMsg{Action: virtualworld.Action{Player: 4, Kind: virtualworld.ActMove, TargetX: 1, TargetY: 2}}.Marshal(),
-			ActionMsg{Action: virtualworld.Action{Player: 4, Kind: virtualworld.ActMove, TargetX: 1, TargetY: 2}}.AppendTo(nil),
-		},
-		"candidate-update": {
-			CandidateUpdate{Candidates: []CandidateInfo{{Addr: "a:1", Load: 1, Capacity: 2, MeasuredRTTMs: -1, Score: 0.5}}, CloudStreamAddr: "c:1"}.Marshal(),
-			CandidateUpdate{Candidates: []CandidateInfo{{Addr: "a:1", Load: 1, Capacity: 2, MeasuredRTTMs: -1, Score: 0.5}}, CloudStreamAddr: "c:1"}.AppendTo(nil),
-		},
-		"qoe-report": {
-			QoEReport{PlayerID: 3, Addr: "f:1", Rating: 0.5, Stalled: true}.Marshal(),
-			QoEReport{PlayerID: 3, Addr: "f:1", Rating: 0.5, Stalled: true}.AppendTo(nil),
-		},
-		"rate-change": {RateChange{QualityLevel: 4}.Marshal(), RateChange{QualityLevel: 4}.AppendTo(nil)},
-	} {
-		if !bytes.Equal(pair[0], pair[1]) {
-			t.Errorf("%s: AppendTo differs from Marshal\n  marshal: %x\n  append:  %x", name, pair[0], pair[1])
-		}
-	}
-	// Appending onto an existing prefix leaves the prefix intact.
-	prefix := []byte{0xAA, 0xBB}
-	out := batch.AppendTo(prefix)
-	if !bytes.Equal(out[:2], prefix) || !bytes.Equal(out[2:], batch.Marshal()) {
-		t.Error("AppendTo corrupted the buffer prefix")
-	}
-}
-
-// TestAppendFrameMatchesWriteMessage pins the single-buffer framing to the
-// WriteMessage wire format.
-func TestAppendFrameMatchesWriteMessage(t *testing.T) {
-	payload := []byte{1, 2, 3, 4, 5, 6, 7}
-	var legacy bytes.Buffer
-	if err := WriteMessage(&legacy, MsgAction, payload); err != nil {
-		t.Fatal(err)
-	}
-	framed, err := AppendFrame(nil, MsgAction, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(legacy.Bytes(), framed) {
-		t.Errorf("AppendFrame differs from WriteMessage:\n  %x\n  %x", legacy.Bytes(), framed)
-	}
-	// AppendMessage (in-place encode + patched length) produces the same
-	// frame as AppendFrame over a pre-marshalled payload.
-	batch := testBatch(10)
-	viaPayload, err := AppendFrame(nil, MsgUpdateBatch, batch.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaMessage, err := AppendMessage(nil, MsgUpdateBatch, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(viaPayload, viaMessage) {
-		t.Error("AppendMessage differs from AppendFrame over Marshal")
-	}
-}
-
-// TestAppendFrameOversize mirrors WriteMessage's MaxPayload guard.
+// TestAppendFrameOversize pins the MaxPayload guard on both framers.
 func TestAppendFrameOversize(t *testing.T) {
 	if _, err := AppendFrame(nil, MsgAction, make([]byte, MaxPayload+1)); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversize AppendFrame err = %v", err)
@@ -114,7 +50,7 @@ func (oversizeAppender) AppendTo(buf []byte) []byte {
 }
 
 // TestFrameReaderRoundTrip drains a multi-message stream through the
-// reusable-buffer reader and checks it against ReadMessage.
+// reusable-buffer reader.
 func TestFrameReaderRoundTrip(t *testing.T) {
 	batch := testBatch(30)
 	var stream []byte
@@ -123,10 +59,10 @@ func TestFrameReaderRoundTrip(t *testing.T) {
 		typ     MsgType
 		payload []byte
 	}{
-		{MsgUpdateBatch, batch.Marshal()},
-		{MsgHeartbeat, Heartbeat{Seq: 1}.Marshal()},
+		{MsgUpdateBatch, batch.AppendTo(nil)},
+		{MsgHeartbeat, Heartbeat{Seq: 1}.AppendTo(nil)},
 		{MsgBye, nil},
-		{MsgUpdateBatch, testBatch(3).Marshal()},
+		{MsgUpdateBatch, testBatch(3).AppendTo(nil)},
 	}
 	for _, m := range msgs {
 		if stream, err = AppendFrame(stream, m.typ, m.payload); err != nil {
@@ -149,7 +85,7 @@ func TestFrameReaderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameReaderHostileLength mirrors ReadMessage's MaxPayload guard.
+// TestFrameReaderHostileLength pins the reader's MaxPayload guard.
 func TestFrameReaderHostileLength(t *testing.T) {
 	hostile := []byte{0xFF, 0xFF, 0xFF, 0xFF, byte(MsgAction)}
 	fr := NewFrameReader(bytes.NewReader(hostile))
@@ -188,11 +124,11 @@ func (rs *repeatStream) Read(p []byte) (int, error) {
 // steady state: after the internal buffer has grown to fit the largest
 // message, Next must not allocate.
 func TestFrameReaderSteadyStateAllocs(t *testing.T) {
-	stream, err := AppendFrame(nil, MsgUpdateBatch, testBatch(100).Marshal())
+	stream, err := AppendFrame(nil, MsgUpdateBatch, testBatch(100).AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err = AppendFrame(stream, MsgHeartbeat, Heartbeat{Seq: 5}.Marshal())
+	stream, err = AppendFrame(stream, MsgHeartbeat, Heartbeat{Seq: 5}.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +186,7 @@ func TestAppendEncoderAllocs(t *testing.T) {
 // TestDecodeUpdateBatchSteadyStateAllocs pins the reusable decode: with a
 // warm Deltas slice, DecodeUpdateBatch must not allocate.
 func TestDecodeUpdateBatchSteadyStateAllocs(t *testing.T) {
-	payload := testBatch(100).Marshal()
+	payload := testBatch(100).AppendTo(nil)
 	var m UpdateBatch
 	if err := DecodeUpdateBatch(payload, &m); err != nil {
 		t.Fatal(err)
@@ -270,10 +206,10 @@ func TestDecodeUpdateBatchSteadyStateAllocs(t *testing.T) {
 func TestUpdateBatchEncodedSize(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 64} {
 		b := testBatch(n)
-		if got, want := b.EncodedSize(), len(b.Marshal()); got != want {
+		if got, want := b.EncodedSize(), len(b.AppendTo(nil)); got != want {
 			t.Errorf("EncodedSize(%d deltas) = %d, want %d", n, got, want)
 		}
-		if got, want := b.SizeBits(), len(b.Marshal())*8; got != want {
+		if got, want := b.SizeBits(), len(b.AppendTo(nil))*8; got != want {
 			t.Errorf("SizeBits(%d deltas) = %d, want %d", n, got, want)
 		}
 	}
@@ -295,11 +231,13 @@ func TestBufferPool(t *testing.T) {
 	PutBuffer(nil) // must not panic
 }
 
-// FuzzReadMessage fuzzes the framing round-trip: any stream the reader
-// accepts must re-encode to the identical bytes, and the reader must agree
-// with the legacy ReadMessage.
+// FuzzReadMessage feeds hostile byte streams to the frame reader. It
+// must never panic; only a length prefix above MaxPayload may yield
+// ErrTooLarge; ReadMessageInto with a caller buffer must agree with
+// FrameReader frame for frame; and every accepted frame must re-encode to
+// the exact input bytes.
 func FuzzReadMessage(f *testing.F) {
-	seed1, _ := AppendFrame(nil, MsgUpdateBatch, testBatch(5).Marshal())
+	seed1, _ := AppendFrame(nil, MsgUpdateBatch, testBatch(5).AppendTo(nil))
 	seed2, _ := AppendFrame(nil, MsgBye, nil)
 	seed2, _ = AppendFrame(seed2, MsgHeartbeat, []byte{0, 0, 0, 9})
 	f.Add(seed1)
@@ -308,28 +246,34 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 5, 0xAB}) // truncated payload
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := NewFrameReader(bytes.NewReader(data))
-		legacy := bytes.NewReader(data)
-		var reencoded []byte
+		direct := bytes.NewReader(data)
+		var buf, reencoded []byte
 		for {
 			typ, payload, err := fr.Next()
-			ltyp, lpayload, lerr := ReadMessage(legacy)
-			if (err == nil) != (lerr == nil) {
-				t.Fatalf("FrameReader err %v vs ReadMessage err %v", err, lerr)
+			var dtyp MsgType
+			var derr error
+			dtyp, buf, derr = ReadMessageInto(direct, buf)
+			if (err == nil) != (derr == nil) {
+				t.Fatalf("FrameReader err %v vs ReadMessageInto err %v", err, derr)
 			}
 			if err != nil {
+				if len(data)-len(reencoded) >= HeaderLen && errors.Is(err, ErrTooLarge) !=
+					(binary.BigEndian.Uint32(data[len(reencoded):]) > MaxPayload) {
+					t.Fatalf("ErrTooLarge %v disagrees with the length prefix", err)
+				}
 				break
 			}
-			if typ != ltyp || !bytes.Equal(payload, lpayload) {
-				t.Fatalf("FrameReader (%v, %d bytes) disagrees with ReadMessage (%v, %d bytes)",
-					typ, len(payload), ltyp, len(lpayload))
+			if typ != dtyp || !bytes.Equal(payload, buf) {
+				t.Fatalf("FrameReader (%v, %d bytes) disagrees with ReadMessageInto (%v, %d bytes)",
+					typ, len(payload), dtyp, len(buf))
 			}
 			reencoded, err = AppendFrame(reencoded, typ, payload)
 			if err != nil {
 				t.Fatalf("re-encode: %v", err)
 			}
-		}
-		if len(reencoded) > 0 && !bytes.Equal(reencoded, data[:len(reencoded)]) {
-			t.Fatalf("re-encoded stream differs from input prefix")
+			if len(reencoded) > len(data) || !bytes.Equal(reencoded, data[:len(reencoded)]) {
+				t.Fatalf("re-encoded stream differs from input prefix")
+			}
 		}
 	})
 }

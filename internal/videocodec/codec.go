@@ -303,12 +303,7 @@ func rleDecodeInto(out, data []byte, n int) ([]byte, error) {
 
 // --- wire helpers ----------------------------------------------------------
 
-// Marshal serializes an encoded frame for transport.
-func (ef *EncodedFrame) Marshal() []byte {
-	return ef.AppendTo(make([]byte, 0, ef.EncodedSize()))
-}
-
-// EncodedSize returns the exact Marshal()ed length in bytes.
+// EncodedSize returns the exact AppendTo length in bytes.
 func (ef *EncodedFrame) EncodedSize() int { return frameHeaderBytes + len(ef.Data) }
 
 // AppendTo appends the serialized frame to buf and returns the extended

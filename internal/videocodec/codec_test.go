@@ -185,7 +185,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 	enc := NewEncoder(800)
 	for _, f := range frames {
 		ef := enc.Encode(f)
-		buf := ef.Marshal()
+		buf := ef.AppendTo(nil)
 		got, err := UnmarshalFrame(buf)
 		if err != nil {
 			t.Fatal(err)
@@ -207,7 +207,7 @@ func TestUnmarshalErrors(t *testing.T) {
 		t.Error("short header accepted")
 	}
 	frames := frameSequence(t, 1, 1)
-	buf := NewEncoder(0).Encode(frames[0]).Marshal()
+	buf := NewEncoder(0).Encode(frames[0]).AppendTo(nil)
 	if _, err := UnmarshalFrame(buf[:len(buf)-1]); err == nil {
 		t.Error("truncated payload accepted")
 	}
@@ -216,7 +216,7 @@ func TestUnmarshalErrors(t *testing.T) {
 func TestSizeBitsMatchesWire(t *testing.T) {
 	frames := frameSequence(t, 1, 1)
 	ef := NewEncoder(0).Encode(frames[0])
-	if ef.SizeBits() != len(ef.Marshal())*8 {
-		t.Errorf("SizeBits %d != wire bits %d", ef.SizeBits(), len(ef.Marshal())*8)
+	if ef.SizeBits() != len(ef.AppendTo(nil))*8 {
+		t.Errorf("SizeBits %d != wire bits %d", ef.SizeBits(), len(ef.AppendTo(nil))*8)
 	}
 }

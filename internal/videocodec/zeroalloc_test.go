@@ -115,7 +115,7 @@ func TestDecodeIntoSteadyStateAllocs(t *testing.T) {
 	enc := NewEncoder(600)
 	wire := make([][]byte, len(frames))
 	for i, f := range frames {
-		wire[i] = enc.Encode(f).Marshal()
+		wire[i] = enc.Encode(f).AppendTo(nil)
 	}
 	var dec Decoder
 	var ef EncodedFrame
