@@ -71,12 +71,14 @@ bench:
 # transport: the UDP video hot paths (header append/parse, tracker
 #   classification, per-frame datagram send and receive); the bar is
 #   0 allocs/op in steady state.
-# tick: the per-cell AoI fan-out and the full-world stream over the same
-#   fixtures, plus the grid RegionOf index. Each fan-out row carries a
-#   custom fanoutB/tick metric, the tick's wire egress: flat in world
-#   size, linear in visible entities (DESIGN.md §14).
+# tick: the cloud's one tick fan-out (per-cell batches) to AoI
+#   subscribers and, in the visible=all rows, to subscribe-all ones (no
+#   interest set). Each row carries a custom fanoutB/tick metric, the
+#   tick's wire egress: for AoI subscribers flat in world size and linear
+#   in visible entities, for subscribe-all ones linear in world size
+#   (DESIGN.md §14).
 # sim: full seeded deployments at 10k (the paper's PeerSim profile),
-#   100k and 1M players, sequential vs parallel. Each row reports
+#   100k and 1M players, one worker (Seq) vs GOMAXPROCS (Par). Each row reports
 #   playerticks/s and heapMB/run; the Par/Seq ratio at one scale is the
 #   worker-pool speedup (on one core it measures phasing overhead).
 BENCH_FILES = wirepath transport tick sim
@@ -90,9 +92,9 @@ BENCH_TRANSPORT = BenchmarkDatagramHeader|BenchmarkTrackerTrack|BenchmarkDatagra
 transport_time = 2000x
 transport_pkgs = ./internal/transport ./internal/fognet
 
-BENCH_TICK = BenchmarkAoITickFanout|BenchmarkLegacyTickFanout|BenchmarkRegionOf
+BENCH_TICK = BenchmarkAoITickFanout
 tick_time = 2000x
-tick_pkgs = ./internal/fognet ./internal/virtualworld
+tick_pkgs = ./internal/fognet
 
 BENCH_SIM = BenchmarkSimPlayers
 sim_time = 1x

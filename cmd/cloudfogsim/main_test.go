@@ -40,6 +40,12 @@ func TestRunBadScaleAndProfile(t *testing.T) {
 	}
 }
 
+func TestRunNegativeParallel(t *testing.T) {
+	if err := run([]string{"-exp", "table2", "-parallel", "-1"}); err == nil {
+		t.Error("negative -parallel accepted")
+	}
+}
+
 func TestRunCheapExperiments(t *testing.T) {
 	// table2 and fig16a/b are analytic: they must run instantly.
 	for _, exp := range []string{"table2", "fig16a", "fig16b"} {

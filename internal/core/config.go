@@ -162,11 +162,11 @@ type Config struct {
 	// rates (the Fig. 13–15 experiments).
 	Arrivals *workload.ArrivalScript
 
-	// Workers controls the streaming-evaluation worker pool (parallel.go):
-	// 0 (the default) sizes it by GOMAXPROCS, a positive value is a fixed
-	// pool size, and a negative value forces the legacy single-pass
-	// sequential ordering. Seeded outputs are bit-identical across all
-	// settings — the knob exists for bisection and benchmarking, not
+	// Workers sizes the streaming-evaluation worker pool (parallel.go):
+	// 0 (the default) sizes it by GOMAXPROCS and a positive value is a
+	// fixed pool size; 1 runs the phase on the calling goroutine alone.
+	// Negative values are rejected. Seeded outputs are bit-identical
+	// across all settings — the knob exists for benchmarking, not
 	// correctness.
 	Workers int
 }
@@ -231,6 +231,9 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.Datacenters <= 0 {
 		return c, fmt.Errorf("core: Datacenters must be positive, got %d", c.Datacenters)
+	}
+	if c.Workers < 0 {
+		return c, fmt.Errorf("core: Workers must not be negative, got %d", c.Workers)
 	}
 	if c.Mode == 0 {
 		c.Mode = ModeCloudFog

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"cloudfog/internal/workload"
@@ -8,9 +9,9 @@ import (
 
 // The parallel determinism contract (parallel.go): for any worker count,
 // a seeded run's outputs — metrics snapshot, quantiles, and the full state
-// digest — are bit-identical to the legacy sequential ordering
-// (Workers < 0). These tests are the enforcement; they are what lets
-// `-parallel` default to on.
+// digest — are bit-identical to a pool of one worker (Workers = 1, the
+// calling goroutine alone). These tests are the enforcement; they are
+// what lets `-parallel` default to GOMAXPROCS.
 
 // equivalenceConfigs covers every code path whose interleaving could
 // plausibly diverge under concurrency: fog selection with all strategies
@@ -55,15 +56,15 @@ func TestParallelEquivalence(t *testing.T) {
 	const cycles, warmup = 3, 1
 	for name, cfg := range equivalenceConfigs() {
 		t.Run(name, func(t *testing.T) {
-			wantSnap, wantDigest := runWithWorkers(t, cfg, -1, cycles, warmup)
-			for _, workers := range []int{0, 1, 2, 4, 8} {
+			wantSnap, wantDigest := runWithWorkers(t, cfg, 1, cycles, warmup)
+			for _, workers := range []int{0, 2, 4, 8} {
 				snap, digest := runWithWorkers(t, cfg, workers, cycles, warmup)
 				if snap != wantSnap {
-					t.Errorf("workers=%d: snapshot diverged from sequential\n got %+v\nwant %+v",
+					t.Errorf("workers=%d: snapshot diverged from workers=1\n got %+v\nwant %+v",
 						workers, snap, wantSnap)
 				}
 				if digest != wantDigest {
-					t.Errorf("workers=%d: state digest %x, sequential %x", workers, digest, wantDigest)
+					t.Errorf("workers=%d: state digest %x, workers=1 %x", workers, digest, wantDigest)
 				}
 			}
 		})
@@ -72,7 +73,7 @@ func TestParallelEquivalence(t *testing.T) {
 
 // TestParallelEquivalenceHistogram pins the quantile path specifically:
 // per-worker scratch histograms merged in scheduler-dependent order must
-// reproduce the sequential histogram's exact bucket counts.
+// reproduce the one-worker histogram's exact bucket counts.
 func TestParallelEquivalenceHistogram(t *testing.T) {
 	cfg := quickConfig(ModeCloudFog)
 	cfg.Strategies = AllStrategies()
@@ -86,7 +87,7 @@ func TestParallelEquivalenceHistogram(t *testing.T) {
 		}
 		return sys.Run(3, 1)
 	}
-	seq := build(-1)
+	seq := build(1)
 	par := build(6)
 	if seq.ResponseLatencyHist == nil || par.ResponseLatencyHist == nil {
 		t.Fatal("response latency histogram not collected")
@@ -95,45 +96,46 @@ func TestParallelEquivalenceHistogram(t *testing.T) {
 		t.Fatal("histogram empty")
 	}
 	if got, want := par.ResponseLatencyHist.N(), seq.ResponseLatencyHist.N(); got != want {
-		t.Fatalf("histogram N: parallel %d, sequential %d", got, want)
+		t.Fatalf("histogram N: 6 workers %d, 1 worker %d", got, want)
 	}
 	for b := 0; b < seq.ResponseLatencyHist.NumBuckets(); b++ {
 		if got, want := par.ResponseLatencyHist.Bucket(b), seq.ResponseLatencyHist.Bucket(b); got != want {
-			t.Fatalf("bucket %d: parallel %d, sequential %d", b, got, want)
+			t.Fatalf("bucket %d: 6 workers %d, 1 worker %d", b, got, want)
 		}
 	}
 	for _, p := range []float64{50, 95, 99} {
 		if got, want := par.ResponseLatencyHist.Percentile(p), seq.ResponseLatencyHist.Percentile(p); got != want {
-			t.Fatalf("P%v: parallel %v, sequential %v", p, got, want)
+			t.Fatalf("P%v: 6 workers %v, 1 worker %v", p, got, want)
 		}
 	}
 }
 
-// TestWorkersConfigResolution documents the -parallel knob mapping.
+// TestWorkersConfigResolution documents the -parallel knob mapping: 0 is
+// GOMAXPROCS, a positive value is taken literally, and a negative value is
+// a configuration error.
 func TestWorkersConfigResolution(t *testing.T) {
 	cfg := quickConfig(ModeCloud)
-	for _, tc := range []struct {
-		workers    int
-		sequential bool
-	}{
-		{workers: -1, sequential: true},
-		{workers: 0, sequential: false},
-		{workers: 3, sequential: false},
+	for _, tc := range []struct{ workers, want int }{
+		{workers: 0, want: runtime.GOMAXPROCS(0)},
+		{workers: 1, want: 1},
+		{workers: 3, want: 3},
 	} {
 		cfg.Workers = tc.workers
 		sys, err := NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := sys.workerCount()
-		if tc.sequential && got != 0 {
-			t.Errorf("Workers=%d resolved to %d workers, want sequential", tc.workers, got)
+		if got := sys.workerCount(); got != tc.want {
+			t.Errorf("Workers=%d resolved to %d workers, want %d", tc.workers, got, tc.want)
 		}
-		if !tc.sequential && got < 1 {
-			t.Errorf("Workers=%d resolved to %d workers, want >= 1", tc.workers, got)
+	}
+	for _, workers := range []int{-1, -8} {
+		cfg.Workers = workers
+		if _, err := cfg.normalize(); err == nil {
+			t.Errorf("normalize accepted Workers=%d", workers)
 		}
-		if tc.workers > 0 && got != tc.workers {
-			t.Errorf("Workers=%d resolved to %d", tc.workers, got)
+		if _, err := NewSystem(cfg); err == nil {
+			t.Errorf("NewSystem accepted Workers=%d", workers)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"cloudfog/internal/cloudinfra"
 	"cloudfog/internal/fog"
@@ -110,13 +112,14 @@ type System struct {
 	// evalResults is the per-player result buffer of the parallel eval
 	// phase, reused every subcycle.
 	evalResults []evalResult
-	// seqScratch is the eval scratch of the sequential path and of the
-	// control-plane phases (join), which always run single-threaded.
-	seqScratch evalScratch
-	// workerScratch holds one evalScratch per parallel worker.
+	// workerScratch holds one evalScratch per eval worker. Worker 0 is
+	// the calling goroutine, so the control-plane phases (join), which
+	// always run single-threaded, borrow workerScratch[0] too.
 	workerScratch []evalScratch
-	// shardRands buffers the per-shard streams derived each subcycle.
-	shardRands []*rng.Rand
+	// evalCursor is the eval phase's shard claim counter and evalWG waits
+	// for its helper goroutines; both are reused every subcycle.
+	evalCursor atomic.Int64
+	evalWG     sync.WaitGroup
 
 	// assignment scratch (see assignStateServer): per-server friend counts
 	// and the touched-server list, reused across joins at zero allocations.

@@ -62,10 +62,10 @@ type Options struct {
 	// Seed drives all randomness. Defaults to 1.
 	Seed uint64
 	// Workers forwards to core.Config.Workers: 0 (the default) sizes the
-	// streaming-evaluation worker pool by GOMAXPROCS, a positive value is a
-	// fixed pool, and a negative value forces the legacy sequential
-	// ordering. Seeded figure outputs are bit-identical across all
-	// settings (see the core equivalence tests).
+	// streaming-evaluation worker pool by GOMAXPROCS and a positive value
+	// is a fixed pool; a negative value is rejected. Seeded figure outputs
+	// are bit-identical across all settings (see the core equivalence
+	// tests).
 	Workers int
 }
 

@@ -11,15 +11,16 @@ import (
 	"cloudfog/internal/virtualworld"
 )
 
-// This file is the interest-management (AoI) layer of DESIGN.md §14. The
-// cloud keeps a per-supernode interest set — the grid cells the fog's
-// attached players can see, reported upstream via MsgInterestUpdate — and
-// the tick loop buckets each tick's deltas by grid cell once, encodes
-// each dirty cell once into a refcounted pooled payload, and enqueues it
-// only to the supernodes subscribed to that cell. Fan-out cost becomes
-// O(relevant deltas × subscribers), not O(world × supernodes). Supernodes
-// that never report interest stay on the legacy full-world MsgUpdateBatch
-// stream, so every pre-AoI client keeps working unmodified.
+// This file is the interest-management (AoI) layer of DESIGN.md §14 and
+// the cloud's only update stream. The cloud keeps a per-supernode
+// interest set — the grid cells the fog's attached players can see,
+// reported upstream via MsgInterestUpdate — and the tick loop buckets each
+// tick's deltas by grid cell once, frames each dirty cell once, and sends
+// each supernode only the cells it subscribes to, as one send-queue
+// entry per tick. Fan-out cost becomes O(relevant deltas × subscribers),
+// not O(world × supernodes). A supernode that never reports interest has
+// a nil set, which is subscribed to every cell: it receives every cell
+// batch and so tracks the whole world.
 
 // DefaultAoIMargin is the hysteresis margin, in world units, added around
 // a player's viewport when a fog computes its interest footprint. Cells
@@ -31,9 +32,10 @@ const DefaultAoIMargin = 64.0
 // --- cloud side: per-supernode interest sets and per-tick bucketing ---------
 
 // interestSet is one supernode's cell subscription: a bitmap over the
-// world grid. It is immutable once installed on a supernodeConn (updates
-// swap in a freshly built set under the cloud mutex), so the tick loop
-// may read a captured pointer after releasing the lock.
+// world grid. A nil *interestSet is subscribed to every cell. It is
+// immutable once installed on a supernodeConn (updates swap in a freshly
+// built set under the cloud mutex), so the tick loop may read a captured
+// pointer after releasing the lock.
 type interestSet struct {
 	// gen is the fog-reported generation; updates that do not advance it
 	// are dropped, so a duplicated MsgInterestUpdate can never roll the
@@ -59,13 +61,18 @@ func (is *interestSet) add(c uint32) {
 	}
 }
 
+// has reports whether the set subscribes to cell c; a nil set has every
+// cell.
 func (is *interestSet) has(c uint32) bool {
+	if is == nil {
+		return true
+	}
 	w := int(c) / 64
 	return w < len(is.words) && is.words[w]&(uint64(1)<<(uint(c)%64)) != 0
 }
 
 // fanSN is the tick loop's capture of one supernode and the interest set
-// it had when the tick started (nil = full-world).
+// it had when the tick started (nil = every cell).
 type fanSN struct {
 	sn       *supernodeConn
 	interest *interestSet
@@ -229,7 +236,7 @@ func (s *CloudServer) applyInterest(sn *supernodeConn, iu *protocol.InterestUpda
 	geo := s.world.Grid().Geom()
 	if iu.CellSize != geo.CellSize {
 		// Geometry mismatch: cell IDs would map to the wrong rectangles.
-		// Leave the supernode on the full-world stream.
+		// Leave the supernode's subscription as it is.
 		return
 	}
 	if sn.interest != nil && iu.Gen <= sn.interest.gen {
@@ -297,7 +304,6 @@ func (s *CloudServer) appendCellStateLocked(dst []virtualworld.Delta, c uint32) 
 type fogInterest struct {
 	// sendMu serializes whole refresh operations (recompute + send).
 	sendMu sync.Mutex
-	margin float64
 	geo    virtualworld.GridGeom
 	ready  bool
 	gen    uint32
@@ -342,10 +348,11 @@ func (f *FogNode) resetInterestLocked() {
 
 // computeInterestLocked recomputes the footprint from the replica's view
 // of the attached players' avatars, with enter/keep hysteresis: a cell is
-// entered when it overlaps a player's viewport grown by margin, and a
-// currently held cell is kept while it still overlaps the viewport grown
-// by 2×margin. Returns whether the subscription changed. Caller holds
-// f.mu (and, transitively, ai's sendMu — see refreshInterest).
+// entered when it overlaps a player's viewport grown by DefaultAoIMargin,
+// and a currently held cell is kept while it still overlaps the viewport
+// grown by 2×DefaultAoIMargin. Returns whether the subscription changed.
+// Caller holds f.mu (and, transitively, ai's sendMu — see
+// refreshInterest).
 func (f *FogNode) computeInterestLocked() bool {
 	ai := f.aoi
 	nw := (ai.geo.NumCells() + 63) / 64
@@ -365,10 +372,10 @@ func (f *FogNode) computeInterestLocked() bool {
 		ai.players = append(ai.players, id)
 	}
 	slices.Sort(ai.players)
-	enterW := render.ViewHalfWidth + ai.margin
-	enterH := render.ViewHalfHeight + ai.margin
-	keepW := render.ViewHalfWidth + 2*ai.margin
-	keepH := render.ViewHalfHeight + 2*ai.margin
+	enterW := render.ViewHalfWidth + DefaultAoIMargin
+	enterH := render.ViewHalfHeight + DefaultAoIMargin
+	keepW := render.ViewHalfWidth + 2*DefaultAoIMargin
+	keepH := render.ViewHalfHeight + 2*DefaultAoIMargin
 	mark := func(words []uint64, x, y, hw, hh float64) {
 		ai.cellScratch = ai.geo.AppendCellsInRect(ai.cellScratch[:0], x-hw, y-hh, x+hw, y+hh)
 		for _, c := range ai.cellScratch {
@@ -455,8 +462,9 @@ func (f *FogNode) refreshInterest() {
 	}
 	if !changed {
 		// First report on this connection, even if the footprint is empty:
-		// it moves the supernode off the full-world stream. The generation
-		// still has to advance for the cloud to accept it.
+		// it replaces the subscribe-all default the cloud starts every
+		// supernode with. The generation still has to advance for the
+		// cloud to accept it.
 		ai.gen++
 	}
 	f.mu.Unlock()

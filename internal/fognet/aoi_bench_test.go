@@ -14,17 +14,18 @@ import (
 // over a world×world map, fanoutWidth subscribers each watching a
 // viewport-sized footprint around its player. The first `visible` deltas
 // land inside those footprints; the rest are spread uniformly over the
-// whole world (background activity no subscriber cares about).
+// whole world (background activity no subscriber cares about). A
+// subscribe-all fixture gives every subscriber a nil interest set instead.
+// The fan-out itself is the cloud's own (CloudServer.fanOut) over a
+// capture of test supernodes.
 type aoiBenchFixture struct {
 	geo     virtualworld.GridGeom
 	deltas  []virtualworld.Delta
-	sets    []*interestSet
-	queues  []chan outMsg
-	plan    aoiPlan
+	cloud   CloudServer
 	pending []outMsg
 }
 
-func newAoIBenchFixture(total, visible int, world float64) *aoiBenchFixture {
+func newAoIBenchFixture(total, visible int, world float64, all bool) *aoiBenchFixture {
 	f := &aoiBenchFixture{geo: virtualworld.Geometry(world, world, virtualworld.DefaultCellSize)}
 	r := rng.New(uint64(total)*31 + uint64(visible)).SplitNamed("aoi-bench")
 	type pt struct{ x, y float64 }
@@ -37,14 +38,17 @@ func newAoIBenchFixture(total, visible int, world float64) *aoiBenchFixture {
 			x: world * float64(i+1) / float64(fanoutWidth+1),
 			y: world / 2,
 		}
+		if all {
+			f.subscribe(nil)
+			continue
+		}
 		is := newInterestSet(1, f.geo.NumCells())
 		cells = f.geo.AppendCellsInRect(cells[:0],
 			players[i].x-halfW, players[i].y-halfH, players[i].x+halfW, players[i].y+halfH)
 		for _, c := range cells {
 			is.add(c)
 		}
-		f.sets = append(f.sets, is)
-		f.queues = append(f.queues, make(chan outMsg, 2*DefaultSendQueueLen))
+		f.subscribe(is)
 	}
 	f.deltas = make([]virtualworld.Delta, total)
 	for i := range f.deltas {
@@ -66,62 +70,30 @@ func newAoIBenchFixture(total, visible int, world float64) *aoiBenchFixture {
 	return f
 }
 
-// tickAoI runs one AoI fan-out cycle exactly as tickOnce + snWriter do:
-// bucket the deltas by cell, encode each subscribed dirty cell once into a
-// pooled reference-counted payload, enqueue to its subscribers, then drain
-// every queue through the coalescing writer path. Returns the egress bytes
-// this tick put on the wire.
-func (f *aoiBenchFixture) tickAoI(tb testing.TB) int64 {
-	f.plan.build(f.geo, f.deltas, 0)
-	var bytes int64
-	for i := 0; i < f.plan.numDirty(); i++ {
-		cell := f.plan.cell(i)
-		subs := 0
-		for _, is := range f.sets {
-			if is.has(cell) {
-				subs++
-			}
-		}
-		if subs == 0 {
-			continue
-		}
-		_, cd := f.plan.cellDeltas(i)
-		cb := protocol.CellBatch{Tick: 42, Cell: cell, Deltas: cd}
-		sp := newSharedPayload(subs)
-		sp.buf.B = cb.AppendTo(sp.buf.B[:0])
-		for j, is := range f.sets {
-			if is.has(cell) {
-				f.queues[j] <- outMsg{typ: protocol.MsgCellBatch, payload: sp.buf.B, shared: sp}
-				bytes += int64(len(sp.buf.B) + protocol.HeaderLen)
-			}
-		}
-	}
-	f.drain(tb)
-	return bytes
+// subscribe adds one supernode with interest set is (nil = every cell)
+// and the production queue length: a tick is one queue entry per
+// supernode, so the fixture's drain after every tick never drops.
+func (f *aoiBenchFixture) subscribe(is *interestSet) {
+	sn := &supernodeConn{sendQ: make(chan outMsg, DefaultSendQueueLen)}
+	f.cloud.fanSNs = append(f.cloud.fanSNs, fanSN{sn: sn, interest: is})
 }
 
-// tickLegacy is the pre-AoI baseline on the same fixture: the full batch
-// encoded once and fanned to every subscriber, regardless of interest.
-func (f *aoiBenchFixture) tickLegacy(tb testing.TB) int64 {
-	batch := protocol.UpdateBatch{Tick: 42, Deltas: f.deltas}
-	sp := newSharedPayload(len(f.queues))
-	sp.buf.B = batch.AppendTo(sp.buf.B[:0])
-	var bytes int64
-	for _, q := range f.queues {
-		q <- outMsg{typ: protocol.MsgUpdateBatch, payload: sp.buf.B, shared: sp}
-		bytes += int64(len(sp.buf.B) + protocol.HeaderLen)
+// tick runs one fan-out cycle as tickOnce + snWriter do: the cloud's
+// fanOut buckets the deltas by cell, frames each watched batch once and
+// enqueues one tick payload per recipient, then every queue drains
+// through the coalescing writer path. Returns the egress bytes this tick put on the wire.
+func (f *aoiBenchFixture) tick(tb testing.TB) int64 {
+	f.cloud.fanOut(f.geo, 42, f.deltas, 0)
+	if n := f.cloud.queueDrops.Load(); n != 0 {
+		tb.Fatalf("fan-out dropped %d messages", n)
 	}
-	f.drain(tb)
-	return bytes
-}
-
-func (f *aoiBenchFixture) drain(tb testing.TB) {
-	for _, q := range f.queues {
+	var bytes int64
+	for _, fs := range f.cloud.fanSNs {
 		f.pending = f.pending[:0]
 	drain:
 		for {
 			select {
-			case m := <-q:
+			case m := <-fs.sn.sendQ:
 				f.pending = append(f.pending, m)
 			default:
 				break drain
@@ -130,94 +102,83 @@ func (f *aoiBenchFixture) drain(tb testing.TB) {
 		buf := protocol.GetBuffer()
 		for _, m := range f.pending {
 			var err error
-			if buf.B, err = protocol.AppendFrame(buf.B, m.typ, m.payload); err != nil {
+			if buf.B, _, err = appendOut(buf.B, m); err != nil {
 				tb.Fatal(err)
 			}
 		}
 		if _, err := io.Discard.Write(buf.B); err != nil {
 			tb.Fatal(err)
 		}
+		bytes += int64(len(buf.B))
 		for j := range f.pending {
 			f.pending[j].shared.release()
 			f.pending[j] = outMsg{}
 		}
 		protocol.PutBuffer(buf)
 	}
+	return bytes
 }
 
 // aoiBenchCases: the world-scaling rows hold the visible set fixed while
 // the world (entities and area, constant density) grows — AoI cost must
-// stay flat where the legacy full-world fan-out grows linearly. The
-// visible-scaling rows hold the world fixed while the in-footprint share
-// grows — AoI cost must grow linearly with it.
+// stay flat. The visible-scaling rows hold the world fixed while the
+// in-footprint share grows — AoI cost must grow linearly with it. The
+// visible=all rows are subscribe-all supernodes (no interest set), whose
+// cost grows with the world: they receive every dirty cell.
 var aoiBenchCases = []struct {
 	name    string
 	total   int
 	visible int
 	world   float64
+	all     bool
 }{
-	{"world=2k/visible=512", 2_000, 512, 1400},
-	{"world=10k/visible=512", 10_000, 512, 3200},
-	{"world=40k/visible=512", 40_000, 512, 6400},
-	{"world=16k/visible=1k", 16_000, 1_000, 4000},
-	{"world=16k/visible=4k", 16_000, 4_000, 4000},
-	{"world=16k/visible=16k", 16_000, 16_000, 4000},
+	{"world=2k/visible=512", 2_000, 512, 1400, false},
+	{"world=10k/visible=512", 10_000, 512, 3200, false},
+	{"world=40k/visible=512", 40_000, 512, 6400, false},
+	{"world=16k/visible=1k", 16_000, 1_000, 4000, false},
+	{"world=16k/visible=4k", 16_000, 4_000, 4000, false},
+	{"world=16k/visible=16k", 16_000, 16_000, 4000, false},
+	{"world=2k/visible=all", 2_000, 0, 1400, true},
+	{"world=10k/visible=all", 10_000, 0, 3200, true},
+	{"world=40k/visible=all", 40_000, 0, 6400, true},
 }
 
-// BenchmarkAoITickFanout measures the interest-managed tick fan-out.
-// Alongside ns/op it reports fanoutB/tick — the Λ egress one tick puts on
-// the wire — which is the number the AoI layer exists to bound.
+// BenchmarkAoITickFanout measures the tick fan-out. Alongside ns/op it
+// reports fanoutB/tick — the Λ egress one tick puts on the wire — which
+// is the number the AoI layer exists to bound.
 func BenchmarkAoITickFanout(b *testing.B) {
 	for _, tc := range aoiBenchCases {
 		b.Run(tc.name, func(b *testing.B) {
-			f := newAoIBenchFixture(tc.total, tc.visible, tc.world)
-			f.tickAoI(b) // warm pools and plan scratch
+			f := newAoIBenchFixture(tc.total, tc.visible, tc.world, tc.all)
+			f.tick(b) // warm pools and plan scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			var bytes int64
 			for i := 0; i < b.N; i++ {
-				bytes += f.tickAoI(b)
+				bytes += f.tick(b)
 			}
 			b.ReportMetric(float64(bytes)/float64(b.N), "fanoutB/tick")
 		})
 	}
 }
 
-// BenchmarkLegacyTickFanout is the full-world baseline on the identical
-// fixture: egress is total-entity- (and supernode-) proportional no matter
-// what the players can see.
-func BenchmarkLegacyTickFanout(b *testing.B) {
-	for _, tc := range aoiBenchCases {
-		b.Run(tc.name, func(b *testing.B) {
-			f := newAoIBenchFixture(tc.total, tc.visible, tc.world)
-			f.tickLegacy(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var bytes int64
-			for i := 0; i < b.N; i++ {
-				bytes += f.tickLegacy(b)
-			}
-			b.ReportMetric(float64(bytes)/float64(b.N), "fanoutB/tick")
-		})
-	}
-}
-
-// TestAoIFanoutSteadyStateAllocs pins the AoI fan-out's allocation
-// discipline as a regression test: after warm-up, bucketing + per-cell
-// encode + enqueue + coalesced drain allocate nothing.
+// TestAoIFanoutSteadyStateAllocs pins the fan-out's allocation discipline
+// as a regression test: after warm-up, bucketing + per-cell encode +
+// enqueue + coalesced drain allocate nothing, for AoI subscribers and a
+// subscribe-all one alike.
 func TestAoIFanoutSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool randomizes caching under -race; allocation counts only hold without it")
 	}
-	f := newAoIBenchFixture(2048, 512, 1400)
+	f := newAoIBenchFixture(2048, 512, 1400, false)
+	f.subscribe(nil)
 	// Convergence needs more warm-up than the single-payload fan-out test:
-	// the cycle keeps ~one pooled buffer per dirty cell, and buffers trade
-	// roles (cell payload vs coalesced frame) between ticks, so each tick
-	// can grow at most one more pool member to the high-water mark.
+	// the cycle keeps one pooled payload per subscriber in flight, and the
+	// pools reach that high-water mark over several ticks.
 	for i := 0; i < 512; i++ {
-		f.tickAoI(t)
+		f.tick(t)
 	}
-	if n := testing.AllocsPerRun(64, func() { f.tickAoI(t) }); n != 0 {
-		t.Fatalf("AoI fan-out allocates %.1f/op in steady state, want 0", n)
+	if n := testing.AllocsPerRun(64, func() { f.tick(t) }); n != 0 {
+		t.Fatalf("tick fan-out allocates %.1f/op in steady state, want 0", n)
 	}
 }

@@ -1,6 +1,8 @@
 package fognet
 
 import (
+	"bytes"
+	"io"
 	"math"
 	"testing"
 	"time"
@@ -37,8 +39,8 @@ func TestAoIEndToEndStreaming(t *testing.T) {
 	cloud := startCloud(t)
 	fog := startAoIFog(t, cloud, "fog-aoi", 4)
 
-	// Even before any player, the fog's (empty) report moves it off the
-	// full-world stream.
+	// Even before any player, the fog's (empty) report replaces its
+	// subscribe-all default.
 	waitFor(t, 2*time.Second, "AoI switchover", func() bool {
 		return cloud.Stats().AoISupernodes == 1
 	})
@@ -122,26 +124,45 @@ func cloudAvatarPos(s *CloudServer, player int) (x, y float64, ok bool) {
 	return 0, 0, false
 }
 
-// decodeCellBatchInto round-trips a cell batch through the wire encoding
-// before applying it, so parity covers the codec as well as the bucketing.
-func applyCellBatchWire(t testing.TB, r *virtualworld.Replica, cb protocol.CellBatch) {
+// applyTickWire reads the framed cell batches of one fan-out queue entry
+// and applies each as the fog's update loop does, so parity covers the
+// codec and framing as well as the bucketing.
+func applyTickWire(t testing.TB, r *virtualworld.Replica, m outMsg) {
 	t.Helper()
-	var got protocol.CellBatch
-	if err := protocol.DecodeCellBatch(cb.AppendTo(nil), &got); err != nil {
-		t.Fatalf("cell batch round trip: %v", err)
+	if !m.framed {
+		t.Fatalf("fan-out enqueued an unframed message of type %v", m.typ)
 	}
-	if got.Keyframe {
-		r.ApplyCellKeyframe(got.Tick, got.Cell, got.Deltas)
-	} else {
-		r.Apply(got.Tick, got.Deltas)
+	fr := protocol.NewFrameReader(bytes.NewReader(m.payload))
+	for {
+		typ, payload, err := fr.Next()
+		if err == io.EOF {
+			return
+		}
+		if err != nil {
+			t.Fatalf("tick payload framing: %v", err)
+		}
+		if typ != protocol.MsgCellBatch {
+			t.Fatalf("tick payload carries message type %v", typ)
+		}
+		var got protocol.CellBatch
+		if err := protocol.DecodeCellBatch(payload, &got); err != nil {
+			t.Fatalf("cell batch decode: %v", err)
+		}
+		if got.Keyframe {
+			r.ApplyCellKeyframe(got.Tick, got.Cell, got.Deltas)
+		} else {
+			r.Apply(got.Tick, got.Deltas)
+		}
 	}
 }
 
-// FuzzAoIPartitionParity is the fan-out equivalence property: for any
-// delta stream, the union of the per-cell batches (global bucket plus
-// every dirty cell, i.e. a subscriber interested in everything) applied
-// to a replica produces exactly the same state as the legacy full-world
-// batch.
+// FuzzAoIPartitionParity is the fan-out equivalence property and the
+// proof that a subscribe-all supernode sees the full world: for any delta
+// stream, the cell batches the cloud's fanOut enqueues for a supernode
+// that subscribes to every cell — with no interest set, alone or next to
+// an AoI supernode, or with a set that has every cell — decoded off the
+// wire and applied to a replica, produce exactly the same state as
+// applying the whole tick's deltas at once.
 func FuzzAoIPartitionParity(f *testing.F) {
 	f.Add(uint64(1), uint(40), uint(8))
 	f.Add(uint64(7), uint(0), uint(0))
@@ -158,8 +179,7 @@ func FuzzAoIPartitionParity(f *testing.F) {
 		geo := virtualworld.Geometry(width, height, virtualworld.DefaultCellSize)
 		r := rng.New(seed).SplitNamed("aoi-parity")
 
-		// A shared base population both replicas start from.
-		base := virtualworld.NewReplica(width, height)
+		// A shared base population every replica starts from.
 		full := virtualworld.NewReplica(width, height)
 		var seedDeltas []virtualworld.Delta
 		for i := 0; i < 32; i++ {
@@ -169,7 +189,6 @@ func FuzzAoIPartitionParity(f *testing.F) {
 				X: r.Float64() * width, Y: r.Float64() * height, HP: 50, Version: 1,
 			}})
 		}
-		base.Apply(1, seedDeltas)
 		full.Apply(1, seedDeltas)
 
 		// One tick's worth of deltas: the first nSession are session events
@@ -204,31 +223,144 @@ func FuzzAoIPartitionParity(f *testing.F) {
 			}})
 		}
 
-		var plan aoiPlan
-		plan.build(geo, deltas, int(nSession))
-
-		// Full-world replica applies the legacy batch.
+		// The reference replica applies the whole tick at once.
 		full.Apply(2, deltas)
 
-		// AoI replica applies the partition: global bucket first (session
-		// events and removals), then each dirty cell, as a fully-subscribed
-		// supernode would receive them.
-		applyCellBatchWire(t, base, protocol.CellBatch{
-			Tick: 2, Cell: virtualworld.CellNone, Deltas: plan.global})
-		for i := 0; i < plan.numDirty(); i++ {
-			cell, cd := plan.cellDeltas(i)
-			applyCellBatchWire(t, base, protocol.CellBatch{Tick: 2, Cell: cell, Deltas: cd})
+		// Each replica applies what fanOut enqueued for one supernode, with
+		// the production queue length: at most one entry per tick. A
+		// subscribe-all supernode alone gets the tick unpartitioned; next
+		// to an AoI supernode it gets the partitioned stream — the global
+		// bucket (session events and removals) first, then each dirty cell
+		// — as does an AoI supernode whose set has every cell.
+		every := newInterestSet(1, geo.NumCells())
+		for c := 0; c < geo.NumCells(); c++ {
+			every.add(uint32(c))
 		}
-
-		if got, want := base.Snapshot(), full.Snapshot(); !got.Equal(want) {
-			t.Fatalf("partition parity broken (seed=%d n=%d s=%d):\naoi:  %+v\nfull: %+v",
-				seed, nDeltas, nSession, got, want)
-		}
-		if got, want := base.Grid().Digest(), full.Grid().Digest(); got != want {
-			t.Fatalf("partition parity broken in the grid (seed=%d n=%d s=%d): aoi %x, full %x",
-				seed, nDeltas, nSession, got, want)
+		none := newInterestSet(1, geo.NumCells())
+		want := full.Snapshot()
+		for _, interests := range [][]*interestSet{{nil}, {nil, none}, {every, none}} {
+			var cloud CloudServer
+			for _, is := range interests {
+				sn := &supernodeConn{sendQ: make(chan outMsg, DefaultSendQueueLen)}
+				cloud.fanSNs = append(cloud.fanSNs, fanSN{sn: sn, interest: is})
+			}
+			cloud.fanOut(geo, 2, deltas, int(nSession))
+			if n := cloud.queueDrops.Load(); n != 0 {
+				t.Fatalf("fan-out dropped %d messages", n)
+			}
+			for i, fs := range cloud.fanSNs {
+				if n := len(fs.sn.sendQ); n > 1 {
+					t.Fatalf("fan-out enqueued %d entries for one tick, want at most 1", n)
+				}
+				if fs.interest == none {
+					continue
+				}
+				rep := virtualworld.NewReplica(width, height)
+				rep.Apply(1, seedDeltas)
+				for len(fs.sn.sendQ) > 0 {
+					m := <-fs.sn.sendQ
+					applyTickWire(t, rep, m)
+					m.shared.release()
+				}
+				if got := rep.Snapshot(); !got.Equal(want) {
+					t.Fatalf("partition parity broken (seed=%d n=%d s=%d, supernode %d of %d):\nfan-out: %+v\nfull:    %+v",
+						seed, nDeltas, nSession, i+1, len(interests), got, want)
+				}
+				if got, want := rep.Grid().Digest(), full.Grid().Digest(); got != want {
+					t.Fatalf("partition parity broken in the grid (seed=%d n=%d s=%d, supernode %d of %d): fan-out %x, full %x",
+						seed, nDeltas, nSession, i+1, len(interests), got, want)
+				}
+			}
 		}
 	})
+}
+
+// TestFanOutOneEntryPerTick is the send-queue contract of the tick
+// stream: with the production queue length and every one of a default
+// world's 256 cells dirty on every tick, each supernode gets exactly one
+// queue entry per tick and nothing drops. A subscribe-all replica and an
+// AoI replica that subscribed to every cell at once — 256 keyframes owed
+// in its first tick — both track the authoritative state exactly.
+func TestFanOutOneEntryPerTick(t *testing.T) {
+	const size = 1024
+	geo := virtualworld.Geometry(size, size, virtualworld.DefaultCellSize)
+	r := rng.New(7).SplitNamed("fanout-entry")
+	const nEnt = 1024
+	ref := virtualworld.NewReplica(size, size)
+	allRep := virtualworld.NewReplica(size, size)
+	aoiRep := virtualworld.NewReplica(size, size)
+	// spread returns tick-version deltas that place every step-th entity
+	// at a random point, so a tick dirties most of the cells while the
+	// entities it leaves alone reach the AoI replica only by keyframe.
+	spread := func(version uint32, step int) []virtualworld.Delta {
+		var deltas []virtualworld.Delta
+		for i := int(version) % step; i < nEnt; i += step {
+			id := virtualworld.EntityID(i + 1)
+			deltas = append(deltas, virtualworld.Delta{ID: id, Entity: virtualworld.Entity{
+				ID: id, Kind: virtualworld.KindNPC, Owner: -1,
+				X: r.Float64() * size, Y: r.Float64() * size, HP: 50, Version: version,
+			}})
+		}
+		return deltas
+	}
+	seed := spread(1, 1)
+	ref.Apply(1, seed)
+	allRep.Apply(1, seed)
+
+	var cloud CloudServer
+	allSN := &supernodeConn{sendQ: make(chan outMsg, DefaultSendQueueLen)}
+	aoiSN := &supernodeConn{sendQ: make(chan outMsg, DefaultSendQueueLen)}
+	every := newInterestSet(1, geo.NumCells())
+	for c := 0; c < geo.NumCells(); c++ {
+		every.add(uint32(c))
+	}
+	cloud.fanSNs = []fanSN{{sn: allSN}, {sn: aoiSN, interest: every}}
+
+	for tick := uint64(2); tick <= 5; tick++ {
+		deltas := spread(uint32(tick), 2)
+		ref.Apply(tick, deltas)
+		cloud.keyPlan = cloud.keyPlan[:0]
+		cloud.keyDeltas = cloud.keyDeltas[:0]
+		if tick == 2 {
+			// The first interest report keyframes every subscribed cell
+			// with its post-Step state, as tickOnce gathers it.
+			for c := uint32(0); c < uint32(geo.NumCells()); c++ {
+				off := int32(len(cloud.keyDeltas))
+				for _, id := range ref.Grid().AppendCell(nil, c) {
+					e, _ := ref.Entity(id)
+					cloud.keyDeltas = append(cloud.keyDeltas, virtualworld.Delta{ID: id, Entity: e})
+				}
+				cloud.keyPlan = append(cloud.keyPlan, keyItem{sn: aoiSN, cell: c, off: off,
+					n: int32(len(cloud.keyDeltas)) - off})
+			}
+		}
+		cloud.fanOut(geo, tick, deltas, 0)
+		if dirty := cloud.aoi.numDirty(); dirty <= DefaultSendQueueLen {
+			t.Fatalf("tick %d dirtied %d cells, want more than the queue length %d",
+				tick, dirty, DefaultSendQueueLen)
+		}
+		if n := cloud.queueDrops.Load(); n != 0 {
+			t.Fatalf("tick %d: fan-out dropped %d messages", tick, n)
+		}
+		for _, tc := range []struct {
+			sn  *supernodeConn
+			rep *virtualworld.Replica
+		}{{allSN, allRep}, {aoiSN, aoiRep}} {
+			if n := len(tc.sn.sendQ); n != 1 {
+				t.Fatalf("tick %d: %d queue entries, want 1", tick, n)
+			}
+			m := <-tc.sn.sendQ
+			applyTickWire(t, tc.rep, m)
+			m.shared.release()
+		}
+		want := ref.Snapshot()
+		if got := allRep.Snapshot(); !got.Equal(want) {
+			t.Fatalf("tick %d: subscribe-all replica diverged", tick)
+		}
+		if got := aoiRep.Snapshot(); !got.Equal(want) {
+			t.Fatalf("tick %d: AoI replica diverged", tick)
+		}
+	}
 }
 
 // TestAoIInterestSurvivesBlackhole is the chaos case: the fog's cloud link
@@ -301,12 +433,13 @@ func TestAoIInterestSurvivesBlackhole(t *testing.T) {
 	})
 }
 
-// TestAoIBackCompat pins the opt-in contract: a fog that never reports
-// interest keeps receiving the legacy full-world stream, byte for byte the
-// same message type as before the AoI layer existed.
+// TestAoIBackCompat pins the subscribe-all contract: a fog that never
+// reports interest is subscribed to every cell, so next to an AoI fog on
+// the same cloud it still receives the whole world's cell batches and its
+// replica tracks every tick.
 func TestAoIBackCompat(t *testing.T) {
 	cloud := startCloud(t)
-	legacy := startFog(t, cloud, "fog-legacy", 4)
+	all := startFog(t, cloud, "fog-all", 4)
 	aoi := startAoIFog(t, cloud, "fog-aoi", 4)
 
 	player, err := NewPlayerClient(PlayerConfig{
@@ -318,24 +451,24 @@ func TestAoIBackCompat(t *testing.T) {
 	}
 	defer player.Close()
 
-	// The legacy fog tracks every tick. The AoI fog has no players, so its
-	// footprint is empty and it receives only the global bucket — the
-	// player's join (a session delta) is broadcast to it, and that is all
-	// the traffic an idle subscriber costs.
+	// The subscribe-all fog tracks every tick. The AoI fog has no
+	// players, so its footprint is empty and it receives only the global
+	// bucket — the player's join (a session delta) is broadcast to it,
+	// and that is all the traffic an idle subscriber costs.
 	waitFor(t, 5*time.Second, "replicas see their streams", func() bool {
-		return legacy.Stats().ReplicaTick > 10 && aoi.Stats().CellBatches >= 1
+		return all.Stats().ReplicaTick > 10 && aoi.Stats().CellBatches >= 1
 	})
 	cs := cloud.Stats()
 	if cs.Supernodes != 2 || cs.AoISupernodes != 1 {
 		t.Errorf("supernode split: %+v", cs)
 	}
-	ls := legacy.Stats()
-	if ls.CellBatches != 0 || ls.InterestUpdatesSent != 0 {
-		t.Errorf("legacy fog saw AoI traffic: %+v", ls)
+	as := all.Stats()
+	if as.InterestUpdatesSent != 0 {
+		t.Errorf("subscribe-all fog reported interest: %+v", as)
 	}
-	// Both replicas track the same world; the legacy one applies full
-	// batches, so its applied-delta counter keeps climbing.
-	if ls.AppliedDeltas == 0 {
-		t.Error("legacy fog applied nothing")
+	// Its replica applies every cell's deltas, so the applied-delta
+	// counter keeps climbing.
+	if as.AppliedDeltas == 0 {
+		t.Error("subscribe-all fog applied nothing")
 	}
 }

@@ -92,9 +92,10 @@ type CloudConfig struct {
 	// WriteTimeout bounds every protocol write. Defaults to
 	// DefaultWriteTimeout.
 	WriteTimeout time.Duration
-	// SendQueueLen bounds the per-supernode outbound queue; when it is
-	// full, further messages are dropped (and counted) rather than
-	// blocking the tick loop. Defaults to DefaultSendQueueLen.
+	// SendQueueLen bounds the per-supernode outbound queue, in entries
+	// (one tick's update stream is one entry); when it is full, further
+	// messages are dropped (and counted) rather than blocking the tick
+	// loop. Defaults to DefaultSendQueueLen.
 	SendQueueLen int
 	// WrapConn, when set, wraps every accepted connection — the faultnet
 	// injection point for chaos tests.
@@ -180,14 +181,18 @@ type CloudServer struct {
 	logEntry checkpoint.LogEntry
 	// AoI fan-out state. aoi buckets each tick's deltas by grid cell;
 	// fanSNs, keyPlan, and keyDeltas are tick-loop capture/keyframe
-	// scratch, all reused across ticks so the steady-state fan-out
-	// allocates nothing. aoiIDScratch/aoiCellScratch back the keyframe
-	// and interest-widening lookups. Only keyframe gathering and the
+	// scratch; cellEnd holds each dirty cell's end offset in the tick's
+	// framed payload and cellBatch is the frame encode scratch. All are
+	// reused across ticks so the steady-state fan-out allocates nothing.
+	// aoiIDScratch/aoiCellScratch back the keyframe and
+	// interest-widening lookups. Only keyframe gathering and the
 	// interest counters run under mu; the rest is tick-loop-owned.
 	aoi             aoiPlan
 	fanSNs          []fanSN
 	keyPlan         []keyItem
 	keyDeltas       []virtualworld.Delta
+	cellEnd         []int32
+	cellBatch       protocol.CellBatch
 	aoiIDScratch    []virtualworld.EntityID
 	aoiCellScratch  []uint32
 	interestUpdates int64 // guarded by mu
@@ -248,7 +253,7 @@ type CloudResilience struct {
 }
 
 // sharedPayload is a reference-counted pooled payload fanned out to many
-// per-supernode send queues at once (the tick's update batch, the
+// per-supernode send queues at once (the tick's cell batches, the
 // heartbeat ping). The encode buffer returns to the protocol pool only
 // when the last writer has flushed it — the pool-lifecycle rule of
 // DESIGN.md §10. Refs lost to a dying writer (messages still queued when
@@ -285,13 +290,29 @@ func (sp *sharedPayload) release() {
 	}
 }
 
-// outMsg is one queued message for a supernode writer. payload aliases
-// shared.buf.B when shared is non-nil; the writer must release(shared)
-// only after the payload has been flushed (or dropped).
+// outMsg is one queued message for a supernode writer: a payload of type
+// typ, or, when framed is set, one tick's update stream for that
+// supernode — one or more complete MsgCellBatch frames the writer copies
+// as they are. payload aliases shared.buf.B when shared is non-nil; the
+// writer must release(shared) only after the payload has been flushed (or
+// dropped).
 type outMsg struct {
 	typ     protocol.MsgType
+	framed  bool
 	payload []byte
 	shared  *sharedPayload
+}
+
+// appendOut appends m to a writer's coalescing buffer and returns the
+// update-stream (Λ) bits it adds.
+//
+//cfg:allocfree
+func appendOut(buf []byte, m outMsg) ([]byte, int64, error) {
+	if m.framed {
+		return append(buf, m.payload...), int64(len(m.payload)) * 8, nil
+	}
+	buf, err := protocol.AppendFrame(buf, m.typ, m.payload)
+	return buf, 0, err
 }
 
 type supernodeConn struct {
@@ -309,8 +330,8 @@ type supernodeConn struct {
 	// (cloud mu) — the load the ladder ranking sorts by.
 	lastAttached int
 	// interest is the supernode's AoI cell subscription, nil until the fog
-	// reports one (nil = legacy full-world stream). The set itself is
-	// immutable; updates swap the pointer (cloud mu).
+	// reports one; a nil set is subscribed to every cell. The set itself
+	// is immutable; updates swap the pointer (cloud mu).
 	interest *interestSet
 	// pendingKey lists cells gained by the latest interest update, each
 	// owed a full-state keyframe on the next tick (cloud mu).
@@ -546,13 +567,14 @@ type CloudStats struct {
 	// RestoredHash exactly.
 	RestoredHash uint64
 	RestoredTick uint64
-	// UpdateBits is the total update-stream egress (the Λ traffic),
-	// full-world batches and AoI cell batches combined.
+	// UpdateBits is the total update-stream egress (the Λ traffic): every
+	// cell batch sent to a supernode.
 	UpdateBits int64
 	// Supernodes is the number of registered supernodes.
 	Supernodes int
-	// AoISupernodes is how many of them run interest-managed (cell-batch)
-	// streams; the rest get the legacy full-world stream.
+	// AoISupernodes is how many of them have reported an interest set
+	// and get only the cells it names; the rest are subscribed to every
+	// cell.
 	AoISupernodes int
 	// InterestUpdates counts accepted AoI subscription changes.
 	InterestUpdates int64
@@ -660,12 +682,8 @@ func (s *CloudServer) tickOnce() {
 	// reused scratch: after the unlock the tick loop reads only this
 	// capture (interest sets are immutable once installed).
 	s.fanSNs = s.fanSNs[:0]
-	aoiCount := 0
 	for _, sn := range s.supernodes {
 		s.fanSNs = append(s.fanSNs, fanSN{sn: sn, interest: sn.interest})
-		if sn.interest != nil {
-			aoiCount++
-		}
 	}
 	// Gather pending cell-enter keyframes while the lock is held: the
 	// payload is the cell's current (post-Step) entity population, read
@@ -693,8 +711,8 @@ func (s *CloudServer) tickOnce() {
 	if standby != nil {
 		// One delta-log entry per tick, even when empty: the entry stream
 		// doubles as the liveness signal the standby's promotion timer
-		// watches. The standby always gets the full-world stream — it must
-		// be able to take over for every cell.
+		// watches. The standby always gets every delta — it must be able to
+		// take over for every cell.
 		s.logEntry.Epoch = s.epoch
 		s.logEntry.Tick = tick
 		s.logEntry.NextID = nextID
@@ -708,78 +726,122 @@ func (s *CloudServer) tickOnce() {
 		}
 	}
 
-	// Cell-enter keyframes flush even on quiet ticks: a fog that just
-	// subscribed must not wait for the cell to change before seeing it.
-	for _, k := range s.keyPlan {
-		kb := protocol.CellBatch{Epoch: s.epoch, Tick: tick, Cell: k.cell,
-			Keyframe: true, Deltas: s.keyDeltas[k.off : k.off+k.n]}
-		sp := newSharedPayload(1)
-		sp.buf.B = kb.AppendTo(sp.buf.B[:0])
-		s.enqueue(k.sn, outMsg{typ: protocol.MsgCellBatch, payload: sp.buf.B, shared: sp})
+	if len(s.fanSNs) > 0 {
+		s.fanOut(geo, tick, deltas, nSession)
 	}
+}
 
-	if len(deltas) == 0 || len(s.fanSNs) == 0 {
-		return
+// fanOut hands one tick's update stream to the captured supernodes as one
+// send-queue entry each. The queue bound counts entries, not bytes, so a
+// stream split into one entry per cell would overflow a healthy queue on
+// any tick with more dirty cells than SendQueueLen, silently dropping
+// cells the replica never gets back.
+//
+// The deltas are bucketed by grid cell once and each batch is framed once
+// into one pooled, reference-counted payload: the global bucket
+// (removals, session events) under the CellNone sentinel, then every
+// dirty cell somebody subscribes to. When no supernode has an interest
+// set there is nothing to filter, and the whole tick is the global batch.
+// Subscribe-all supernodes (no interest set) share that payload as it
+// is. Every other supernode gets its own: its pending cell-enter
+// keyframes — flushed even on quiet ticks, so a fog that just subscribed
+// does not wait for the cell to change — then the global batch and the
+// dirty cells its set has, copied frame by frame. Per-tick cost is
+// O(deltas + dirty cells × supernodes + bytes sent), independent of world
+// size for supernodes that report interest. Enqueue only: the
+// per-supernode writer goroutine does the blocking work, so a stalled
+// supernode can never stall this fan-out.
+func (s *CloudServer) fanOut(geo virtualworld.GridGeom, tick uint64, deltas []virtualworld.Delta, nSession int) {
+	all := 0
+	for _, f := range s.fanSNs {
+		if f.interest == nil {
+			all++
+		}
 	}
-	if n := len(s.fanSNs) - aoiCount; n > 0 {
-		// Legacy path for supernodes with no interest set: the full batch,
-		// encoded once into a pooled, reference-counted buffer shared by
-		// every such queue, exactly as before AoI existed.
-		batch := protocol.UpdateBatch{Epoch: s.epoch, Tick: tick, Deltas: deltas}
-		sp := newSharedPayload(n)
-		sp.buf.B = batch.AppendTo(sp.buf.B[:0])
-		for _, f := range s.fanSNs {
-			if f.interest != nil {
-				continue
+	// The tick loop keeps a reference of its own while it copies frames
+	// out of the shared payload.
+	tp := newSharedPayload(1)
+	b := tp.buf.B
+	globalEnd := int32(0)
+	s.cellEnd = s.cellEnd[:0]
+	switch {
+	case len(deltas) == 0:
+	case all == len(s.fanSNs):
+		// Nobody filters by cell, so the tick needs no partition: the
+		// whole stream, in Step order, is the global batch.
+		b = s.appendCellBatch(b, tick, virtualworld.CellNone, false, deltas)
+	default:
+		s.aoi.build(geo, deltas, nSession)
+		if len(s.aoi.global) > 0 {
+			b = s.appendCellBatch(b, tick, virtualworld.CellNone, false, s.aoi.global)
+		}
+		globalEnd = int32(len(b))
+		for i := 0; i < s.aoi.numDirty(); i++ {
+			if s.watched(s.aoi.cell(i)) {
+				cell, cd := s.aoi.cellDeltas(i)
+				b = s.appendCellBatch(b, tick, cell, false, cd)
+			} // else nobody watches this cell: zero encode, zero gather
+			s.cellEnd = append(s.cellEnd, int32(len(b)))
+		}
+	}
+	tp.buf.B = b
+	if len(b) > 0 && all > 0 {
+		tp.refs.Add(int32(all))
+	}
+	k := 0 // keyPlan cursor: items are grouped by supernode in fanSNs order
+	for _, f := range s.fanSNs {
+		if f.interest == nil {
+			// applyInterest installs a set with every keyframe it
+			// schedules, so a subscribe-all supernode is never owed one.
+			if len(b) > 0 {
+				s.enqueue(f.sn, outMsg{framed: true, payload: b, shared: tp})
 			}
-			// Enqueue only: the per-supernode writer goroutine does the
-			// blocking work, so a stalled supernode can never stall this
-			// fan-out.
-			s.enqueue(f.sn, outMsg{typ: protocol.MsgUpdateBatch, payload: sp.buf.B, shared: sp})
+			continue
 		}
-	}
-	if aoiCount == 0 {
-		return
-	}
-	// AoI fan-out: bucket the tick's deltas by grid cell once, then encode
-	// each dirty cell once and hand it only to the supernodes subscribed
-	// to that cell. Per-tick cost is O(deltas + dirty cells × supernodes),
-	// independent of world size.
-	s.aoi.build(geo, deltas, nSession)
-	if len(s.aoi.global) > 0 {
-		// Position-less deltas (removals, session events) go to every AoI
-		// subscriber under the CellNone sentinel.
-		gb := protocol.CellBatch{Epoch: s.epoch, Tick: tick,
-			Cell: virtualworld.CellNone, Deltas: s.aoi.global}
-		sp := newSharedPayload(aoiCount)
-		sp.buf.B = gb.AppendTo(sp.buf.B[:0])
-		for _, f := range s.fanSNs {
-			if f.interest != nil {
-				s.enqueue(f.sn, outMsg{typ: protocol.MsgCellBatch, payload: sp.buf.B, shared: sp})
+		sp := newSharedPayload(1)
+		p := sp.buf.B
+		for ; k < len(s.keyPlan) && s.keyPlan[k].sn == f.sn; k++ {
+			kf := s.keyPlan[k]
+			p = s.appendCellBatch(p, tick, kf.cell, true, s.keyDeltas[kf.off:kf.off+kf.n])
+		}
+		p = append(p, b[:globalEnd]...)
+		start := globalEnd
+		for i, end := range s.cellEnd {
+			if end > start && f.interest.has(s.aoi.cell(i)) {
+				p = append(p, b[start:end]...)
 			}
+			start = end
+		}
+		sp.buf.B = p
+		if len(p) == 0 {
+			sp.release()
+			continue
+		}
+		s.enqueue(f.sn, outMsg{framed: true, payload: p, shared: sp})
+	}
+	tp.release()
+}
+
+// watched reports whether any captured supernode subscribes to cell c
+// (a subscribe-all one always does).
+func (s *CloudServer) watched(c uint32) bool {
+	for _, f := range s.fanSNs {
+		if f.interest.has(c) {
+			return true
 		}
 	}
-	for i := 0; i < s.aoi.numDirty(); i++ {
-		cell := s.aoi.cell(i)
-		subs := 0
-		for _, f := range s.fanSNs {
-			if f.interest != nil && f.interest.has(cell) {
-				subs++
-			}
-		}
-		if subs == 0 {
-			continue // nobody watches this cell: zero encode, zero gather
-		}
-		_, cd := s.aoi.cellDeltas(i)
-		cb := protocol.CellBatch{Epoch: s.epoch, Tick: tick, Cell: cell, Deltas: cd}
-		sp := newSharedPayload(subs)
-		sp.buf.B = cb.AppendTo(sp.buf.B[:0])
-		for _, f := range s.fanSNs {
-			if f.interest != nil && f.interest.has(cell) {
-				s.enqueue(f.sn, outMsg{typ: protocol.MsgCellBatch, payload: sp.buf.B, shared: sp})
-			}
-		}
-	}
+	return false
+}
+
+// appendCellBatch frames one cell batch of the current epoch onto b. A
+// batch over protocol.MaxPayload cannot be framed and is left out
+// (AppendMessage returns b unchanged); at 16 MiB that is ~180k entities
+// in one grid cell, or as many removals in one tick.
+func (s *CloudServer) appendCellBatch(b []byte, tick uint64, cell uint32, key bool, deltas []virtualworld.Delta) []byte {
+	s.cellBatch = protocol.CellBatch{Epoch: s.epoch, Tick: tick, Cell: cell, Keyframe: key, Deltas: deltas}
+	b, _ = protocol.AppendMessage(b, protocol.MsgCellBatch, &s.cellBatch)
+	s.cellBatch.Deltas = nil
+	return b
 }
 
 // encodeCheckpointLocked captures the full authoritative state — world,
@@ -862,12 +924,11 @@ func (s *CloudServer) snWriter(sn *supernodeConn) {
 			var batchBits int64
 			var err error
 			for _, m := range pending {
-				if buf.B, err = protocol.AppendFrame(buf.B, m.typ, m.payload); err != nil {
+				var bits int64
+				if buf.B, bits, err = appendOut(buf.B, m); err != nil {
 					break
 				}
-				if m.typ == protocol.MsgUpdateBatch || m.typ == protocol.MsgCellBatch {
-					batchBits += int64(len(m.payload)+protocol.HeaderLen) * 8
-				}
+				batchBits += bits
 			}
 			if err == nil {
 				sn.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))

@@ -49,10 +49,13 @@ func TestDatagramVideoEndToEnd(t *testing.T) {
 	// The upgrade must complete and the frames must actually ride UDP:
 	// session counted on both ends, datagram frames flowing, and the
 	// decoded stream depicting a recent world tick — proof the cloud →
-	// fog → UDP → decoder loop closed.
+	// fog → UDP → decoder loop closed. The fog counts a frame only after
+	// its send returns, which can be after the player has received it, so
+	// both ends' counts are awaited rather than read at one instant.
 	waitFor(t, 8*time.Second, "datagram video", func() bool {
 		s := player.Stats()
-		return s.DatagramSessions >= 1 && s.DatagramFrames >= 20 && s.LastTick > 0
+		return s.DatagramSessions >= 1 && s.DatagramFrames >= 20 && s.LastTick > 0 &&
+			fog.Stats().DatagramFrames >= 20
 	})
 	s := player.Stats()
 	if s.DecodeErrors > s.Frames/10 {

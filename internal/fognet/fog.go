@@ -70,15 +70,12 @@ type FogConfig struct {
 	// WrapDatagram, when set, wraps the UDP socket — the faultnet
 	// injection point for lossy-path chaos tests.
 	WrapDatagram transport.WrapDatagramFunc
-	// AoI enables interest management: the node reports the grid cells
-	// its attached players can see (plus a hysteresis margin) and the
-	// cloud sends per-cell batches for just those cells instead of the
-	// full-world update stream. Off by default — a node that never
-	// reports interest behaves exactly as before.
+	// AoI is the node's interest policy. When set, the node reports the
+	// grid cells its attached players can see (plus the DefaultAoIMargin
+	// hysteresis margin) and the cloud sends cell batches for just those
+	// cells. Off by default: the node never reports interest and stays
+	// subscribed to every cell, so its replica tracks the whole world.
 	AoI bool
-	// AoIMargin is the hysteresis margin in world units around each
-	// player's viewport. Defaults to DefaultAoIMargin.
-	AoIMargin float64
 }
 
 // FogResilience groups the supernode's failure-handling counters.
@@ -191,9 +188,6 @@ func NewFogNode(cfg FogConfig) (*FogNode, error) {
 	if cfg.ReconnectBackoffMax <= 0 {
 		cfg.ReconnectBackoffMax = DefaultReconnectBackoffMax
 	}
-	if cfg.AoI && cfg.AoIMargin <= 0 {
-		cfg.AoIMargin = DefaultAoIMargin
-	}
 	tp := transport.TCP{Config: tc, DialFunc: cfg.Dial}
 	ln, err := tp.Listen(cfg.StreamAddr)
 	if err != nil {
@@ -234,7 +228,7 @@ func NewFogNode(cfg FogConfig) (*FogNode, error) {
 	f.replica = virtualworld.NewReplica(welcome.Snapshot.Width, welcome.Snapshot.Height)
 	f.replica.Seed(welcome.Snapshot)
 	if cfg.AoI {
-		f.aoi = &fogInterest{margin: cfg.AoIMargin}
+		f.aoi = &fogInterest{}
 		f.resetInterestLocked()
 	}
 	f.mu.Unlock()
@@ -243,7 +237,7 @@ func NewFogNode(cfg FogConfig) (*FogNode, error) {
 	go f.updateLoop()
 	go f.acceptLoop()
 	// Report the initial (typically empty) footprint so an idle node
-	// drops off the full-world stream right away.
+	// leaves the subscribe-all default right away.
 	f.refreshInterest()
 	return f, nil
 }
@@ -426,7 +420,6 @@ func (f *FogNode) Stats() FogStats {
 // buffer and flushed with a single Write.
 func (f *FogNode) updateLoop() {
 	defer f.wg.Done()
-	var batch protocol.UpdateBatch
 	var cellBatch protocol.CellBatch
 	var ackBuf []byte
 	for {
@@ -443,25 +436,13 @@ func (f *FogNode) updateLoop() {
 				break readLoop
 			}
 			switch typ {
-			case protocol.MsgUpdateBatch:
-				if berr := protocol.DecodeUpdateBatch(payload, &batch); berr != nil {
-					continue
-				}
-				f.mu.Lock()
-				// The authority failed over while this conn survived; its
-				// stamp is the fastest notification there is.
-				//lint:ignore epochstamp epoch adoption, not a discard decision: the fog follows the highest epoch it has seen
-				if batch.Epoch > f.epoch {
-					f.epoch = batch.Epoch
-				}
-				f.replica.Apply(batch.Tick, batch.Deltas)
-				f.mu.Unlock()
-				f.refreshInterest()
 			case protocol.MsgCellBatch:
 				if berr := protocol.DecodeCellBatch(payload, &cellBatch); berr != nil {
 					continue
 				}
 				f.mu.Lock()
+				// The authority failed over while this conn survived; its
+				// stamp is the fastest notification there is.
 				//lint:ignore epochstamp epoch adoption, not a discard decision: the fog follows the highest epoch it has seen
 				if cellBatch.Epoch > f.epoch {
 					f.epoch = cellBatch.Epoch

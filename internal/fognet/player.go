@@ -113,7 +113,7 @@ type PlayerClient struct {
 	switches   int
 	migrations int
 	fallbacks  int
-	stallMs    int64
+	stall      time.Duration
 	candUpd    int64
 
 	// The datagram video path. videoDgram is the live UDP socket (nil
@@ -462,7 +462,8 @@ type PlayerStats struct {
 	// stream — the expensive last rung of the ladder.
 	FallbackTransitions int
 	// StallMs is the cumulative time the video stream was down across
-	// failures, from detection to resumption.
+	// failures, from detection to resumption, rounded up to a whole
+	// millisecond: a migration that finished in under 1 ms still reads 1.
 	StallMs int64
 	// CandidateUpdates counts failover-ladder refreshes received from
 	// the cloud.
@@ -520,7 +521,7 @@ func (p *PlayerClient) Stats() PlayerStats {
 		RateSwitches:        p.switches,
 		Migrations:          p.migrations,
 		FallbackTransitions: p.fallbacks,
-		StallMs:             p.stallMs,
+		StallMs:             int64((p.stall + time.Millisecond - 1) / time.Millisecond),
 		CandidateUpdates:    p.candUpd,
 		QoEReports:          p.qoeReports,
 		Epoch:               p.epoch,
@@ -1036,7 +1037,7 @@ func (p *PlayerClient) migrate(dec *videocodec.Decoder) (net.Conn, bool) {
 			old := p.video
 			p.video = conn
 			p.migrations++
-			p.stallMs += time.Since(stallStart).Milliseconds()
+			p.stall += time.Since(stallStart)
 			landedOnCloud := p.servingAddr == p.cloudAddr
 			p.mu.Unlock()
 			if landedOnCloud && failed != "" {

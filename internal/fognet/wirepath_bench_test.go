@@ -9,9 +9,10 @@ import (
 	"cloudfog/internal/virtualworld"
 )
 
-// fanoutBatch builds the tick payload the cloud fans out: n entity deltas
-// with a sprinkling of removals, like a busy world tick.
-func fanoutBatch(n int) protocol.UpdateBatch {
+// fanoutBatch builds a tick payload the cloud fans out: one cell batch of
+// n entity deltas with a sprinkling of removals, like a busy world tick
+// seen by a subscriber of every cell.
+func fanoutBatch(n int) protocol.CellBatch {
 	deltas := make([]virtualworld.Delta, n)
 	for i := range deltas {
 		deltas[i] = virtualworld.Delta{
@@ -23,18 +24,18 @@ func fanoutBatch(n int) protocol.UpdateBatch {
 			},
 		}
 	}
-	return protocol.UpdateBatch{Tick: 42, Deltas: deltas}
+	return protocol.CellBatch{Tick: 42, Cell: 3, Deltas: deltas}
 }
 
 // fanoutWidth is the supernode count the tick fan-out benchmark serves.
 const fanoutWidth = 8
 
 // BenchmarkTickFanout measures the zero-allocation fan-out path end to
-// end, exactly as tickOnce + snWriter run it: one append-encode of the
-// tick batch into a pooled reference-counted buffer, an enqueue per
-// supernode, then each writer draining its queue into a pooled coalescing
-// buffer flushed with a single write. Steady state: 0 allocs/op for the
-// whole 8-wide fan-out.
+// end, exactly as fanOut + snWriter run it for subscribe-all supernodes:
+// one framed encode of a cell batch into a pooled reference-counted
+// buffer, one enqueue per supernode, then each writer draining its queue
+// into a pooled coalescing buffer flushed with a single write. Steady
+// state: 0 allocs/op for the whole 8-wide fan-out.
 func BenchmarkTickFanout(b *testing.B) {
 	batch := fanoutBatch(64)
 	queues := make([]chan outMsg, fanoutWidth)
@@ -45,11 +46,14 @@ func BenchmarkTickFanout(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// tickOnce side: encode once, arm one reference per recipient.
+		// fanOut side: encode once, arm one reference per recipient.
 		sp := newSharedPayload(len(queues))
-		sp.buf.B = batch.AppendTo(sp.buf.B[:0])
+		var err error
+		if sp.buf.B, err = protocol.AppendMessage(sp.buf.B, protocol.MsgCellBatch, &batch); err != nil {
+			b.Fatal(err)
+		}
 		for _, q := range queues {
-			q <- outMsg{typ: protocol.MsgUpdateBatch, payload: sp.buf.B, shared: sp}
+			q <- outMsg{framed: true, payload: sp.buf.B, shared: sp}
 		}
 		// snWriter side: drain, coalesce into a pooled buffer, flush once.
 		for _, q := range queues {
@@ -65,8 +69,7 @@ func BenchmarkTickFanout(b *testing.B) {
 			}
 			buf := protocol.GetBuffer()
 			for _, m := range pending {
-				var err error
-				if buf.B, err = protocol.AppendFrame(buf.B, m.typ, m.payload); err != nil {
+				if buf.B, _, err = appendOut(buf.B, m); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -162,8 +165,11 @@ func TestTickFanoutSteadyStateAllocs(t *testing.T) {
 	var pending []outMsg
 	cycle := func() {
 		sp := newSharedPayload(1)
-		sp.buf.B = batch.AppendTo(sp.buf.B[:0])
-		q <- outMsg{typ: protocol.MsgUpdateBatch, payload: sp.buf.B, shared: sp}
+		var err error
+		if sp.buf.B, err = protocol.AppendMessage(sp.buf.B, protocol.MsgCellBatch, &batch); err != nil {
+			t.Fatal(err)
+		}
+		q <- outMsg{framed: true, payload: sp.buf.B, shared: sp}
 		pending = pending[:0]
 	drain:
 		for {
@@ -176,8 +182,7 @@ func TestTickFanoutSteadyStateAllocs(t *testing.T) {
 		}
 		buf := protocol.GetBuffer()
 		for _, m := range pending {
-			var err error
-			if buf.B, err = protocol.AppendFrame(buf.B, m.typ, m.payload); err != nil {
+			if buf.B, _, err = appendOut(buf.B, m); err != nil {
 				t.Fatal(err)
 			}
 		}

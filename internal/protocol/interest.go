@@ -4,10 +4,11 @@ import "cloudfog/internal/virtualworld"
 
 // This file encodes the interest-management messages of DESIGN.md §14:
 // fogs report their players' AoI footprint upstream (InterestUpdate) and
-// the cloud answers with per-cell slices of the Λ update stream
-// (CellBatch) instead of the full-world MsgUpdateBatch. Both follow the
-// PR 3 conventions: AppendTo append-encoders, DecodeInto decoders that
-// reuse the destination's slice capacity, arithmetic size accounting.
+// the cloud sends the Λ update stream as per-cell slices (CellBatch):
+// only the reported cells to a fog that sent a footprint, every cell to
+// one that never did. Both follow the PR 3 conventions: AppendTo
+// append-encoders, DecodeInto decoders that reuse the destination's slice
+// capacity, arithmetic size accounting.
 
 // InterestUpdate is a supernode's AoI subscription: the set of grid cells
 // covering its attached players' viewports plus the hysteresis margin,
@@ -20,7 +21,8 @@ type InterestUpdate struct {
 	Gen uint32
 	// CellSize is the grid cell edge the footprint was computed with. A
 	// mismatch with the cloud's geometry voids the update (the supernode
-	// stays full-world) rather than mis-mapping cell IDs.
+	// keeps its current subscription, every cell if it never had one)
+	// rather than mis-mapping cell IDs.
 	CellSize float64
 	// Players are the attached player IDs, ascending.
 	Players []int32
@@ -79,8 +81,9 @@ func DecodeInterestUpdate(buf []byte, m *InterestUpdate) error {
 // the Λ stream, encoded once per dirty cell and fanned to exactly the
 // supernodes subscribed to that cell.
 type CellBatch struct {
-	// Epoch is the authority epoch of the sending cloud (same semantics
-	// as UpdateBatch.Epoch).
+	// Epoch is the authority epoch of the sending cloud. A supernode that
+	// sees the epoch advance knows a standby was promoted and its replica
+	// may hold state the new authority never committed.
 	Epoch uint64
 	// Tick is the world tick the deltas belong to.
 	Tick uint64

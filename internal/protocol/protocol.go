@@ -46,7 +46,9 @@ const (
 	MsgJoinReply
 	// MsgAction carries a player input to the cloud.
 	MsgAction
-	// MsgUpdateBatch carries one tick's world deltas to a supernode.
+	// MsgUpdateBatch is the full-world form of the update stream. No tier
+	// sends it (the cloud's tick stream is MsgCellBatch only); it stays
+	// because cfbench's frame peeker names it.
 	MsgUpdateBatch
 	// MsgPlayerAttach attaches a player session to a supernode.
 	MsgPlayerAttach
@@ -110,11 +112,11 @@ const (
 	// to the cloud: the grid cells its attached players' viewports (plus
 	// hysteresis margin) cover. The cloud then narrows that supernode's
 	// update stream to the subscribed cells. A supernode that never sends
-	// one stays on the full-world stream (DESIGN.md §14).
+	// one stays subscribed to every cell (DESIGN.md §14).
 	MsgInterestUpdate
 	// MsgCellBatch carries one tick's deltas for one grid cell to a
-	// subscribed supernode — the AoI-filtered replacement for
-	// MsgUpdateBatch. A keyframe cell batch carries the cell's complete
+	// subscribed supernode — the cloud's only update stream. A keyframe
+	// cell batch carries the cell's complete
 	// entity population (sent when a supernode gains the cell); the
 	// CellNone sentinel carries position-less deltas (removals, session
 	// events) broadcast to every subscriber.
@@ -553,7 +555,9 @@ func UnmarshalActionMsg(buf []byte) (ActionMsg, error) {
 	return m, r.finish()
 }
 
-// UpdateBatch carries one tick's deltas — the Λ update stream.
+// UpdateBatch is one tick's whole delta list, the full-world form of the
+// Λ update stream. No tier sends it (the stream is CellBatch only); it
+// stays because cfbench's frame peeker and its test name it.
 type UpdateBatch struct {
 	// Epoch is the authority epoch of the sending cloud. A supernode that
 	// sees the epoch advance knows a standby was promoted and its replica

@@ -48,21 +48,6 @@ func BenchmarkReplicaApply(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionKD measures the kd-tree region split over 2,000
-// avatars.
-func BenchmarkPartitionKD(b *testing.B) {
-	r := rng.New(3)
-	w := New(1024, 1024)
-	for p := 1; p <= 2000; p++ {
-		w.SpawnAvatar(p, r.Uniform(0, 1024), r.Uniform(0, 1024))
-	}
-	s := w.Snapshot()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PartitionKD(s, 16)
-	}
-}
-
 // bigWorldSnapshot is a 20k-NPC world laid out as the cloud's NPC seeding
 // lays it out (a 4×4 lattice, the rest piled on the top edge) plus two
 // avatars: the welcome snapshot a joining fog seeds its replica from.

@@ -17,10 +17,11 @@ import (
 // DefaultCellSize is the grid cell edge length in world units. It is a
 // protocol-visible constant: fogs derive their interest footprint with the
 // same geometry the cloud buckets deltas with, and an InterestUpdate
-// carrying a different cell size is rejected (the supernode stays on the
-// full-world stream). 64 units ≈ half a viewport half-width, so a player
-// footprint is a handful of cells and one avatar step (MoveSpeed=8) can
-// never out-run a one-cell hysteresis margin in a single tick.
+// carrying a different cell size is rejected (the supernode keeps its
+// subscription, every cell if it never reported one). 64 units ≈ half a
+// viewport half-width, so a player footprint is a handful of cells and one
+// avatar step (MoveSpeed=8) can never out-run a one-cell hysteresis margin
+// in a single tick.
 const DefaultCellSize = 64.0
 
 // CellNone is the sentinel cell ID for deltas with no position: removals
@@ -72,8 +73,8 @@ func Geometry(width, height, cellSize float64) GridGeom {
 func (g GridGeom) NumCells() int { return g.Cols * g.Rows }
 
 // CellOf maps a position to its cell ID (row-major). Positions are
-// clamped to the world, and the max edge folds into the last column/row,
-// matching Region.Contains' max-exclusive-except-world-edge convention.
+// clamped to the world, and the max edge folds into the last column/row:
+// cells are max-exclusive except at the world edge.
 func (g GridGeom) CellOf(x, y float64) uint32 {
 	return uint32(g.row(y)*g.Cols + g.col(x))
 }

@@ -13,6 +13,35 @@ import (
 // answer it; the result is, entity for entity, what culling a full sorted
 // Snapshot with the same viewport yields.
 
+// Viewport is a player's view into the world: the basis of interest
+// management ("renders game video for n_i based on n_i's viewing position
+// and angle") and of the view-dependent work supernodes do.
+type Viewport struct {
+	// CenterX, CenterY is the view center (usually the avatar position).
+	CenterX, CenterY float64
+	// HalfWidth, HalfHeight are the view extents.
+	HalfWidth, HalfHeight float64
+}
+
+// Contains reports whether an entity position is visible.
+func (v Viewport) Contains(x, y float64) bool {
+	return math.Abs(x-v.CenterX) <= v.HalfWidth && math.Abs(y-v.CenterY) <= v.HalfHeight
+}
+
+// AppendVisibleEntities appends the snapshot's entities inside the
+// viewport to dst and returns the extended slice; with enough capacity it
+// does not allocate. It is the linear reference for the grid-indexed
+// World.AppendView and Replica.AppendView, which the per-frame render
+// path uses and which return the same entities in the same order.
+func AppendVisibleEntities(dst []Entity, s Snapshot, v Viewport) []Entity {
+	for _, e := range s.Entities {
+		if v.Contains(e.X, e.Y) {
+			dst = append(dst, e)
+		}
+	}
+	return dst
+}
+
 // viewSpan returns the column and row ranges of the cells the viewport
 // overlaps. The rectangle is widened by a relative hair so that a point
 // Viewport.Contains accepts through a rounded subtraction is never in a

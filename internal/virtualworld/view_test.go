@@ -322,3 +322,32 @@ func TestAppendViewRoundedEdge(t *testing.T) {
 		}
 	}
 }
+
+func TestViewport(t *testing.T) {
+	v := vw.Viewport{CenterX: 100, CenterY: 100, HalfWidth: 50, HalfHeight: 30}
+	if !v.Contains(100, 100) || !v.Contains(150, 130) {
+		t.Error("viewport excludes interior points")
+	}
+	if v.Contains(151, 100) || v.Contains(100, 131) {
+		t.Error("viewport includes exterior points")
+	}
+}
+
+func TestVisibleEntities(t *testing.T) {
+	w := vw.New(400, 400)
+	w.SpawnAvatar(1, 100, 100)
+	w.SpawnNPC(120, 110)
+	w.SpawnNPC(350, 350)
+	v := vw.Viewport{CenterX: 100, CenterY: 100, HalfWidth: 60, HalfHeight: 60}
+	prefix := []vw.Entity{{ID: 99}}
+	vis := vw.AppendVisibleEntities(prefix, w.Snapshot(), v)
+	if len(vis) != 3 || vis[0].ID != 99 {
+		t.Fatalf("visible = %+v, want the prefix plus 2 entities", vis)
+	}
+	vis = vis[1:]
+	for i := 1; i < len(vis); i++ {
+		if vis[i].ID <= vis[i-1].ID {
+			t.Fatal("visible entities not sorted")
+		}
+	}
+}
