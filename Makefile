@@ -71,12 +71,15 @@ bench:
 # transport: the UDP video hot paths (header append/parse, tracker
 #   classification, per-frame datagram send and receive); the bar is
 #   0 allocs/op in steady state.
-# tick: the cloud's one tick fan-out (per-cell batches) to AoI
-#   subscribers and, in the visible=all rows, to subscribe-all ones (no
-#   interest set). Each row carries a custom fanoutB/tick metric, the
-#   tick's wire egress: for AoI subscribers flat in world size and linear
-#   in visible entities, for subscribe-all ones linear in world size
-#   (DESIGN.md §14).
+# tick: the cloud's tick. The Step rows are the authoritative world step
+#   (200 moving avatars; 20k NPCs with two moving avatars, which should
+#   cost what the two changes cost) and WorldSnapshot the 20k-entity
+#   welcome snapshot. The AoITickFanout rows are the one tick fan-out
+#   (per-cell batches) to AoI subscribers and, in the visible=all rows,
+#   to subscribe-all ones (no interest set). Each fan-out row carries a
+#   custom fanoutB/tick metric, the tick's wire egress: for AoI
+#   subscribers flat in world size and linear in visible entities, for
+#   subscribe-all ones linear in world size (DESIGN.md §14).
 # sim: full seeded deployments at 10k (the paper's PeerSim profile),
 #   100k and 1M players, one worker (Seq) vs GOMAXPROCS (Par). Each row reports
 #   playerticks/s and heapMB/run; the Par/Seq ratio at one scale is the
@@ -92,9 +95,9 @@ BENCH_TRANSPORT = BenchmarkDatagramHeader|BenchmarkTrackerTrack|BenchmarkDatagra
 transport_time = 2000x
 transport_pkgs = ./internal/transport ./internal/fognet
 
-BENCH_TICK = BenchmarkAoITickFanout
+BENCH_TICK = BenchmarkAoITickFanout|BenchmarkStep|BenchmarkWorldSnapshot
 tick_time = 2000x
-tick_pkgs = ./internal/fognet
+tick_pkgs = ./internal/fognet ./internal/virtualworld
 
 BENCH_SIM = BenchmarkSimPlayers
 sim_time = 1x

@@ -1502,6 +1502,10 @@ func (s *CloudServer) servePlayer(conn net.Conn, payload []byte) {
 		return
 	}
 	pc := &playerConn{conn: conn}
+	// Hold the new connection's send lock until the reply is written:
+	// once pc is in s.players a candidate broadcast may write to it, and
+	// the client must read the reply first.
+	pc.sendMu.Lock()
 	s.mu.Lock()
 	av := s.world.SpawnAvatar(int(join.PlayerID), join.SpawnX, join.SpawnY)
 	// The spawn is a membership change the next tick's delta stream (and
@@ -1528,7 +1532,6 @@ func (s *CloudServer) servePlayer(conn net.Conn, payload []byte) {
 		CloudStreamAddr: s.Addr(),
 		StandbyAddr:     standbyAddr,
 	}
-	pc.sendMu.Lock()
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 	err = protocol.WriteMessage(conn, protocol.MsgJoinReply, &reply)
 	conn.SetWriteDeadline(time.Time{})
@@ -1555,6 +1558,8 @@ func (s *CloudServer) resumePlayer(conn net.Conn, req protocol.Resume) {
 		tick        uint64
 		standbyAddr string
 	)
+	// As in servePlayer: no broadcast may reach pc before the reply.
+	pc.sendMu.Lock()
 	s.mu.Lock()
 	known := s.world.Avatar(int(req.PlayerID)) != nil || s.resumable[req.PlayerID]
 	if known {
@@ -1576,6 +1581,7 @@ func (s *CloudServer) resumePlayer(conn net.Conn, req protocol.Resume) {
 	}
 	s.mu.Unlock()
 	if !known {
+		pc.sendMu.Unlock()
 		//lint:ignore epochstamp refusal reply: OK=false carries no orderable state, the client falls back to a full rejoin
 		refuse := protocol.ResumeReply{Reason: "unknown session"}
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
@@ -1599,7 +1605,6 @@ func (s *CloudServer) resumePlayer(conn net.Conn, req protocol.Resume) {
 		CloudStreamAddr: s.Addr(),
 		StandbyAddr:     standbyAddr,
 	}
-	pc.sendMu.Lock()
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 	err := protocol.WriteMessage(conn, protocol.MsgResumeReply, &reply)
 	conn.SetWriteDeadline(time.Time{})

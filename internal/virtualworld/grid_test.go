@@ -69,7 +69,7 @@ func TestGeometryAppendCellsInRect(t *testing.T) {
 // incrementally maintained grid must match bit-for-bit.
 func rebuiltGrid(w *World) *Grid {
 	g := NewGrid(w.Grid().Geom())
-	for _, e := range w.Entities() {
+	for _, e := range w.entities {
 		g.Insert(e.ID, e.X, e.Y)
 	}
 	return g

@@ -1,7 +1,5 @@
 package virtualworld
 
-import "slices"
-
 // This file is the checkpoint/restore surface of the world: everything the
 // cloud tier needs to snapshot the authoritative state without allocating
 // on the tick path and to rebuild a bit-identical World on a warm standby
@@ -21,10 +19,8 @@ func (w *World) SetNextID(id EntityID) {
 		return
 	}
 	w.nextID = id
-	for eid := range w.entities {
-		if eid >= w.nextID {
-			w.nextID = eid + 1
-		}
+	if n := len(w.order); n > 0 && w.order[n-1] >= w.nextID {
+		w.nextID = w.order[n-1] + 1
 	}
 }
 
@@ -33,17 +29,26 @@ func (w *World) SetTick(tick uint64) { w.tick = tick }
 
 // SetEntity inserts or overwrites an entity with a full post-change copy,
 // maintaining the owner index. This is how a standby folds logged deltas
-// (which carry complete entity states) into a restored world.
+// (which carry complete entity states) into a restored world. An
+// overwrite that changes an avatar's owner or kind releases the old
+// owner's claim, so every owner-index entry names an avatar of that
+// owner; a dead avatar is queued for the next Step's respawn pass.
 func (w *World) SetEntity(e Entity) {
 	c := e
 	if old, ok := w.entities[c.ID]; ok {
 		w.grid.Move(c.ID, old.X, old.Y, c.X, c.Y)
+		if old.Kind == KindAvatar && (c.Kind != KindAvatar || c.Owner != old.Owner) && w.byOwner[old.Owner] == c.ID {
+			delete(w.byOwner, old.Owner)
+		}
+		w.entities[c.ID] = &c
 	} else {
-		w.grid.Insert(c.ID, c.X, c.Y)
+		w.add(&c)
 	}
-	w.entities[c.ID] = &c
 	if c.Kind == KindAvatar && c.Owner >= 0 {
 		w.byOwner[c.Owner] = c.ID
+	}
+	if c.Kind == KindAvatar && c.HP <= 0 {
+		w.dead = append(w.dead, c.ID)
 	}
 	if c.ID >= w.nextID {
 		w.nextID = c.ID + 1
@@ -56,8 +61,7 @@ func (w *World) RemoveEntity(id EntityID) {
 	if !ok {
 		return
 	}
-	w.grid.Remove(id, e.X, e.Y)
-	delete(w.entities, id)
+	w.drop(e)
 	if e.Kind == KindAvatar && e.Owner >= 0 && w.byOwner[e.Owner] == id {
 		delete(w.byOwner, e.Owner)
 	}
@@ -70,6 +74,7 @@ func (w *World) RemoveEntity(id EntityID) {
 func Restore(s Snapshot, nextID EntityID) *World {
 	w := New(s.Width, s.Height)
 	w.tick = s.Tick
+	w.order = make([]EntityID, 0, len(s.Entities))
 	for _, e := range s.Entities {
 		w.SetEntity(e)
 	}
@@ -80,23 +85,14 @@ func Restore(s Snapshot, nextID EntityID) *World {
 }
 
 // SnapshotInto captures the current state into s, reusing s.Entities'
-// backing array. Once capacity stabilizes this performs zero allocations,
-// which keeps the checkpoint encode off the tick-path allocation budget.
+// backing array. It walks the ID-ordered index, so it never sorts; once
+// capacity stabilizes it performs zero allocations, which keeps the
+// checkpoint encode off the tick-path allocation budget.
 func (w *World) SnapshotInto(s *Snapshot) {
 	s.Tick = w.tick
 	s.Width, s.Height = w.width, w.height
 	s.Entities = s.Entities[:0]
-	for _, e := range w.entities {
-		s.Entities = append(s.Entities, *e)
+	for _, id := range w.order {
+		s.Entities = append(s.Entities, *w.entities[id])
 	}
-	slices.SortFunc(s.Entities, func(a, b Entity) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		default:
-			return 0
-		}
-	})
 }

@@ -43,7 +43,7 @@ func edgyPos(r *rand.Rand, centres [][2]float64, halfW, halfH float64) (x, y flo
 // viewports the views are queried with.
 func avatarCentres(w *vw.World) [][2]float64 {
 	var out [][2]float64
-	for _, e := range w.Entities() {
+	for _, e := range w.Snapshot().Entities {
 		if e.Kind == vw.KindAvatar {
 			out = append(out, [2]float64{e.X, e.Y})
 		}
@@ -142,16 +142,16 @@ func TestAppendViewMatchesSnapshotCull(t *testing.T) {
 					acts = append(acts, vw.Action{Player: p, Kind: vw.ActMove, TargetX: tx, TargetY: ty})
 				}
 				deltas = w.Step(acts)
-				ents := w.Entities()
-				e := *ents[r.Intn(len(ents))]
+				ents := w.Snapshot().Entities
+				e := ents[r.Intn(len(ents))]
 				e.X, e.Y = pos()
 				e.Version++
 				w.SetEntity(e)
 				deltas = append(deltas, vw.Delta{ID: e.ID, Entity: e})
 			case 2:
 				// Remove an entity, then re-add the same ID elsewhere.
-				ents := w.Entities()
-				e := *ents[r.Intn(len(ents))]
+				ents := w.Snapshot().Entities
+				e := ents[r.Intn(len(ents))]
 				w.RemoveEntity(e.ID)
 				rep.Apply(w.Tick(), []vw.Delta{{ID: e.ID, Removed: true}})
 				checkViews(t, "world after removal", w, 2*players+1)
@@ -232,7 +232,7 @@ func TestReplicaGridMatchesWorld(t *testing.T) {
 		}
 		deltas := w.Step(acts)
 		// Teleport a few NPCs (cross-cell moves) and kill one.
-		ents := w.Entities()
+		ents := w.Snapshot().Entities
 		for k := 0; k < 3; k++ {
 			e := *w.Entity(ents[r.Intn(len(ents))].ID) // current copy: SetEntity replaces the pointer
 			e.X, e.Y = edgyPos(r, nil, 0, 0)

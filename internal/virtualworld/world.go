@@ -7,21 +7,24 @@
 // The world is a bounded 2D plane populated by avatars (player-controlled)
 // and objects (NPCs, items). Players submit Actions (move, attack, emote,
 // pick up); a tick applies every pending action, resolves combat, and
-// produces per-entity deltas. The world is spatially partitioned into
-// regions (the kd-tree partitioning of Bezerra et al. that the paper's
-// related work builds on) so that load balancing and interest management —
-// which entities a given viewpoint needs — are cheap.
+// produces per-entity deltas in time proportional to what the tick
+// changed, not to the world's size. The world keeps two derived indexes
+// beside its entity map: the live IDs in ascending order (snapshots and
+// checkpoints walk it without sorting) and a uniform spatial grid
+// (grid.go), which answers interest-management and viewport queries.
 //
 // This is the state the cloud computes and the source of the compact
-// update stream (Λ) pushed to supernodes; package updates encodes the
-// deltas, and internal/render turns each player's replica view (the
-// grid-indexed AppendView query) into frames on the fog side.
+// update stream (Λ) pushed to supernodes: internal/protocol encodes the
+// deltas, a Replica folds them on the fog side, and internal/render turns
+// each player's replica view (the grid-indexed AppendView query) into
+// frames.
 package virtualworld
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // World dimensions, in abstract world units.
@@ -157,6 +160,20 @@ type World struct {
 	// so interest-managed fan-out never rebuilds it per tick. It is pure
 	// derived state: checkpoints don't carry it, Restore re-derives it.
 	grid *Grid
+	// order holds the live entity IDs in ascending order, beside the map:
+	// spawns append (the allocator is monotone), an out-of-order SetEntity
+	// and every removal binary-search it. Snapshots walk it instead of
+	// sorting the map. Like grid it is derived state.
+	order []EntityID
+
+	// Step scratch, reused across ticks: the actions in player order, the
+	// IDs the tick changed and removed, and the avatars whose HP may have
+	// dropped to zero since the last respawn pass (attack victims, and
+	// dead avatars installed by SetEntity between ticks).
+	acts    []Action
+	touched []EntityID
+	gone    []EntityID
+	dead    []EntityID
 }
 
 // New creates an empty world of the given size (non-positive dimensions
@@ -212,9 +229,8 @@ func (w *World) SpawnAvatar(player int, x, y float64) *Entity {
 		Version: 1,
 	}
 	w.nextID++
-	w.entities[e.ID] = e
+	w.add(e)
 	w.byOwner[player] = e.ID
-	w.grid.Insert(e.ID, e.X, e.Y)
 	return e
 }
 
@@ -223,8 +239,7 @@ func (w *World) SpawnNPC(x, y float64) *Entity {
 	x, y = w.clampPos(x, y)
 	e := &Entity{ID: w.nextID, Kind: KindNPC, Owner: -1, X: x, Y: y, HP: MaxHP, Version: 1}
 	w.nextID++
-	w.entities[e.ID] = e
-	w.grid.Insert(e.ID, e.X, e.Y)
+	w.add(e)
 	return e
 }
 
@@ -233,18 +248,40 @@ func (w *World) SpawnItem(x, y float64) *Entity {
 	x, y = w.clampPos(x, y)
 	e := &Entity{ID: w.nextID, Kind: KindItem, Owner: -1, X: x, Y: y, Version: 1}
 	w.nextID++
-	w.entities[e.ID] = e
-	w.grid.Insert(e.ID, e.X, e.Y)
+	w.add(e)
 	return e
+}
+
+// add indexes a new entity in the map, the ID order and the grid. IDs
+// from the allocator exceed every live ID and append; only an
+// out-of-order SetEntity (log replay) pays a binary-search insert.
+func (w *World) add(e *Entity) {
+	w.entities[e.ID] = e
+	if n := len(w.order); n == 0 || w.order[n-1] < e.ID {
+		w.order = append(w.order, e.ID)
+	} else {
+		i, _ := slices.BinarySearch(w.order, e.ID)
+		w.order = slices.Insert(w.order, i, e.ID)
+	}
+	w.grid.Insert(e.ID, e.X, e.Y)
+}
+
+// drop unindexes an entity from the map, the ID order and the grid. The
+// owner index is the caller's concern.
+func (w *World) drop(e *Entity) {
+	w.grid.Remove(e.ID, e.X, e.Y)
+	delete(w.entities, e.ID)
+	if i, ok := slices.BinarySearch(w.order, e.ID); ok {
+		w.order = slices.Delete(w.order, i, i+1)
+	}
 }
 
 // RemovePlayer despawns a player's avatar (logout).
 func (w *World) RemovePlayer(player int) {
 	if id, ok := w.byOwner[player]; ok {
 		if e := w.entities[id]; e != nil {
-			w.grid.Remove(id, e.X, e.Y)
+			w.drop(e)
 		}
-		delete(w.entities, id)
 		delete(w.byOwner, player)
 	}
 }
@@ -260,16 +297,6 @@ func (w *World) Avatar(player int) *Entity {
 // Entity returns the entity with the given ID, or nil.
 func (w *World) Entity(id EntityID) *Entity { return w.entities[id] }
 
-// Entities returns all entities sorted by ID (deterministic order).
-func (w *World) Entities() []*Entity {
-	out := make([]*Entity, 0, len(w.entities))
-	for _, e := range w.entities {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // Delta records one entity change produced by a tick.
 type Delta struct {
 	// ID is the changed entity.
@@ -281,18 +308,20 @@ type Delta struct {
 }
 
 // Step advances the world one tick: every action is applied in a
-// deterministic order (by player ID), combat resolves, and the set of
-// changed entities is returned as deltas — the payload of the cloud's
-// update stream to supernodes.
+// deterministic order (by player ID, stable within a player), combat
+// resolves, and the set of changed entities is returned as deltas — the
+// payload of the cloud's update stream to supernodes. The deltas are the
+// changed entities still present, ascending by ID, then the removals,
+// ascending by ID; replicas and the standby's log rely on that order.
+// Step costs O(actions + changed·log changed): it sorts only the IDs the
+// tick touched, never the world. The returned slice is the caller's.
 func (w *World) Step(actions []Action) []Delta {
 	w.tick++
-	changed := make(map[EntityID]bool)
-	removed := make(map[EntityID]bool)
+	w.touched, w.gone = w.touched[:0], w.gone[:0]
+	w.acts = append(w.acts[:0], actions...)
+	slices.SortStableFunc(w.acts, func(a, b Action) int { return cmp.Compare(a.Player, b.Player) })
 
-	sorted := append([]Action(nil), actions...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Player < sorted[j].Player })
-
-	for _, a := range sorted {
+	for _, a := range w.acts {
 		actor := w.Avatar(a.Player)
 		if actor == nil || actor.HP <= 0 {
 			continue
@@ -300,67 +329,67 @@ func (w *World) Step(actions []Action) []Delta {
 		switch a.Kind {
 		case ActMove:
 			if w.applyMove(actor, a.TargetX, a.TargetY) {
-				changed[actor.ID] = true
+				w.touched = append(w.touched, actor.ID)
 			}
 		case ActAttack:
 			if victim := w.applyAttack(actor, a.TargetEntity); victim != nil {
-				changed[actor.ID] = true
-				changed[victim.ID] = true
-				if victim.HP <= 0 && victim.Kind == KindNPC {
-					w.grid.Remove(victim.ID, victim.X, victim.Y)
-					delete(w.entities, victim.ID)
-					removed[victim.ID] = true
+				w.touched = append(w.touched, actor.ID, victim.ID)
+				if victim.HP <= 0 {
+					switch victim.Kind {
+					case KindNPC:
+						w.drop(victim)
+						w.gone = append(w.gone, victim.ID)
+					case KindAvatar:
+						w.dead = append(w.dead, victim.ID)
+					}
 				}
 			}
 		case ActPickUp:
 			if item := w.applyPickUp(actor, a.TargetEntity); item != nil {
-				changed[actor.ID] = true
-				removed[item.ID] = true
+				w.touched = append(w.touched, actor.ID)
+				w.gone = append(w.gone, item.ID)
 			}
 		case ActEmote:
 			actor.State = a.StateTag
 			actor.Version++
-			changed[actor.ID] = true
+			w.touched = append(w.touched, actor.ID)
 		}
 	}
 
-	// Respawn dead avatars at the origin corner with full HP.
-	for _, id := range w.sortedOwnedIDs() {
+	// Respawn dead avatars at the origin corner with full HP, in ID order.
+	// Only attacks and SetEntity lower HP, and both record the avatar in
+	// dead; a duplicate finds the avatar already respawned.
+	slices.Sort(w.dead)
+	for _, id := range w.dead {
 		e := w.entities[id]
-		if e != nil && e.Kind == KindAvatar && e.HP <= 0 {
-			ox, oy := e.X, e.Y
-			e.HP = MaxHP
-			e.X, e.Y = w.clampPos(8, 8)
-			e.Version++
-			w.grid.Move(e.ID, ox, oy, e.X, e.Y)
-			changed[e.ID] = true
+		if e == nil || e.Kind != KindAvatar || e.HP > 0 || w.byOwner[e.Owner] != id {
+			continue
 		}
+		ox, oy := e.X, e.Y
+		e.HP = MaxHP
+		e.X, e.Y = w.clampPos(8, 8)
+		e.Version++
+		w.grid.Move(e.ID, ox, oy, e.X, e.Y)
+		w.touched = append(w.touched, e.ID)
 	}
+	w.dead = w.dead[:0]
 
-	deltas := make([]Delta, 0, len(changed)+len(removed))
-	for _, e := range w.Entities() {
-		if changed[e.ID] && !removed[e.ID] {
-			deltas = append(deltas, Delta{ID: e.ID, Entity: *e})
+	// A touched ID that is gone was deleted this tick (removals never
+	// re-add), so presence alone separates changes from removals. Each
+	// removal deletes its entity, so gone holds no duplicates.
+	slices.Sort(w.touched)
+	w.touched = slices.Compact(w.touched)
+	slices.Sort(w.gone)
+	deltas := make([]Delta, 0, len(w.touched)+len(w.gone))
+	for _, id := range w.touched {
+		if e := w.entities[id]; e != nil {
+			deltas = append(deltas, Delta{ID: id, Entity: *e})
 		}
 	}
-	rm := make([]EntityID, 0, len(removed))
-	for id := range removed {
-		rm = append(rm, id)
-	}
-	sort.Slice(rm, func(i, j int) bool { return rm[i] < rm[j] })
-	for _, id := range rm {
+	for _, id := range w.gone {
 		deltas = append(deltas, Delta{ID: id, Removed: true})
 	}
 	return deltas
-}
-
-func (w *World) sortedOwnedIDs() []EntityID {
-	ids := make([]EntityID, 0, len(w.byOwner))
-	for _, id := range w.byOwner {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 func (w *World) applyMove(actor *Entity, tx, ty float64) bool {
@@ -403,8 +432,7 @@ func (w *World) applyPickUp(actor *Entity, target EntityID) *Entity {
 	if math.Hypot(item.X-actor.X, item.Y-actor.Y) > PickUpRange {
 		return nil
 	}
-	w.grid.Remove(item.ID, item.X, item.Y)
-	delete(w.entities, item.ID)
+	w.drop(item)
 	actor.Version++
 	return item
 }
@@ -422,13 +450,9 @@ type Snapshot struct {
 
 // Snapshot captures the current world state.
 func (w *World) Snapshot() Snapshot {
-	es := w.Entities()
-	out := Snapshot{Tick: w.tick, Width: w.width, Height: w.height,
-		Entities: make([]Entity, len(es))}
-	for i, e := range es {
-		out.Entities[i] = *e
-	}
-	return out
+	s := Snapshot{Entities: make([]Entity, 0, len(w.order))}
+	w.SnapshotInto(&s)
+	return s
 }
 
 // String renders a summary.

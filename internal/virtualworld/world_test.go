@@ -287,10 +287,15 @@ func TestEntitiesSorted(t *testing.T) {
 	w.SpawnNPC(1, 1)
 	w.SpawnAvatar(1, 2, 2)
 	w.SpawnItem(3, 3)
-	es := w.Entities()
+	w.SetEntity(Entity{ID: 10, Kind: KindNPC, Owner: -1, X: 4, Y: 4, HP: MaxHP, Version: 1})
+	w.SetEntity(Entity{ID: 7, Kind: KindItem, Owner: -1, X: 5, Y: 5, Version: 1})
+	es := w.Snapshot().Entities
+	if len(es) != 5 {
+		t.Fatalf("snapshot has %d entities, want 5", len(es))
+	}
 	for i := 1; i < len(es); i++ {
 		if es[i].ID <= es[i-1].ID {
-			t.Fatal("Entities not sorted")
+			t.Fatal("snapshot entities not sorted")
 		}
 	}
 }
